@@ -230,11 +230,11 @@ def cmd_refine(args) -> int:
             model = dc.build_cdc(dc.DcParams(mode=mode), preds)
             return generate_runs(model, scenario, args.engine)
         system_or_builder = builder
-        probe_system = builder(candidates[0])
     else:
-        _, probe_system = build_system(scenario, mode, args.engine)
-        system_or_builder = probe_system
+        _, system_or_builder = build_system(scenario, mode, args.engine)
     if args.formula:
+        # a kc chain builds one system per candidate; parse against the first
+        probe_system = builder(candidates[0]) if target == "kc" else system_or_builder
         know = fm.parse_formula(args.formula, model=probe_system,
                                 macros=dc.dc_macros())
         if args.at is None:

@@ -1,17 +1,19 @@
 """Exact two-level minimization: Quine-McCluskey primes + Petrick cover.
 
 Inputs are ON-set and DC-set minterm indices over n bits (n <= 16).  Cubes are
-tuples over {0, 1, 2} with 2 = don't care.  Exactness is required (the result
-covers the ON-set and stays inside ON+DC); minimality is best-effort — Petrick
-is exact for the residual after essential primes, with a greedy fallback if
-the residual blows up.
+tuples over {0, 1, 2} with 2 = don't care, position i for bit i.  Inside, a
+cube is an int pair ``(value, mask)`` with the don't-care bits in ``mask``;
+minterm ``m`` lies in it iff ``m & ~mask == value``.  Only cubes with the same
+mask merge: ``v`` merges on free bit ``b`` if ``v & b == 0`` and ``v | b`` is
+in that mask's value set.  Exactness is required (the result covers the
+ON-set and stays inside ON+DC); minimality is best-effort — Petrick is exact
+for the residual after essential primes, with a greedy fallback if it blows up.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 Cube = Tuple[int, ...]
 
@@ -26,41 +28,50 @@ def cube_covers(cube: Cube, minterm: Cube) -> bool:
     return all(c == 2 or c == m for c, m in zip(cube, minterm))
 
 
-def _mergeable(a: Cube, b: Cube):
-    diff = -1
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            if x == 2 or y == 2 or diff >= 0:
-                return None
-            diff = i
-    if diff < 0:
-        return None
-    return a[:diff] + (2,) + a[diff + 1:]
-
-
 def prime_implicants(n: int, on: Sequence[int], dc: Sequence[int] = ()) -> List[Cube]:
     """All prime implicants of ON+DC that cover at least one ON minterm."""
     if n > MAX_BITS:
         raise ValueError(f"too many inputs for exact minimization ({n} > {MAX_BITS})")
-    level = {int_to_bits(m, n) for m in set(on) | set(dc)}
-    primes = set()
+    level = {0: set(on) | set(dc)}  # mask -> values of the cubes at this level
+    primes = []
     while level:
-        buckets = defaultdict(list)
-        for cube in level:
-            buckets[sum(1 for v in cube if v == 1)].append(cube)
-        merged, nxt = set(), set()
-        for k in sorted(buckets):
-            for a in buckets[k]:
-                for b in buckets.get(k + 1, ()):
-                    c = _mergeable(a, b)
-                    if c is not None:
-                        merged.add(a)
-                        merged.add(b)
-                        nxt.add(c)
-        primes |= level - merged
+        nxt = defaultdict(set)
+        for mask, values in level.items():
+            merged = set()
+            for b in (1 << i for i in range(n) if not (mask >> i) & 1):
+                for v in values:
+                    if not v & b and v | b in values:
+                        nxt[mask | b].add(v)
+                        merged.update((v, v | b))
+            primes.extend((v, mask) for v in values - merged)
         level = nxt
-    on_bits = [int_to_bits(m, n) for m in on]
-    return sorted(p for p in primes if any(cube_covers(p, m) for m in on_bits))
+    on = set(on)
+    return sorted(tuple(2 if (mask >> i) & 1 else (v >> i) & 1 for i in range(n))
+                  for v, mask in primes if any(m & ~mask == v for m in on))
+
+
+def _petrick(rows: Sequence[Set[int]], candidates: Sequence[int]) -> Optional[Set[int]]:
+    """The first set of ``combinations(candidates, r)``, smallest r first, that
+    meets every row: a depth-first search in that order, cutting a branch once
+    some uncovered row has no candidate left at or after the next pick."""
+    rows = [{candidates.index(c) for c in row} for row in rows]
+    last = [max(row) for row in rows]
+
+    def search(start: int, k: int, uncovered: List[int]) -> Optional[List[int]]:
+        if not uncovered or not k:
+            return None if uncovered else []
+        stop = min(min(last[r] for r in uncovered), len(candidates) - k)
+        for i in range(start, stop + 1):
+            found = search(i + 1, k - 1, [r for r in uncovered if i not in rows[r]])
+            if found is not None:
+                return [i] + found
+        return None
+
+    for k in range(1, len(candidates) + 1):
+        found = search(0, k, list(range(len(rows))))
+        if found is not None:
+            return {candidates[i] for i in found}
+    return None
 
 
 def minimize(n: int, on: Sequence[int], dc: Sequence[int] = ()) -> List[Cube]:
@@ -71,30 +82,19 @@ def minimize(n: int, on: Sequence[int], dc: Sequence[int] = ()) -> List[Cube]:
     if len(on) + len(dc) == 2 ** n:
         return [(2,) * n]
     primes = prime_implicants(n, on, dc)
-    on_bits = [int_to_bits(m, n) for m in on]
-    coverage = [frozenset(i for i, p in enumerate(primes) if cube_covers(p, m))
-                for m in on_bits]
+    # (value, ~mask) per prime: minterm m lies in it iff m & ~mask == value
+    pairs = [(sum(c << i for i, c in enumerate(p) if c < 2),
+              ~sum(1 << i for i, c in enumerate(p) if c == 2)) for p in primes]
+    remaining = [frozenset(i for i, (v, keep) in enumerate(pairs) if m & keep == v)
+                 for m in on]
 
     chosen = set()
-    remaining = list(coverage)
-    while True:
-        singles = [next(iter(s)) for s in remaining if len(s) == 1]
-        if not singles:
-            break
+    while singles := [next(iter(s)) for s in remaining if len(s) == 1]:
         chosen.update(singles)
         remaining = [s for s in remaining if not (s & chosen)]
     if remaining:
         candidates = sorted(set().union(*remaining))
-        best = None
-        if len(candidates) <= 20:
-            for r in range(1, len(candidates) + 1):
-                for combo in combinations(candidates, r):
-                    picked = set(combo)
-                    if all(s & picked for s in remaining):
-                        best = picked
-                        break
-                if best is not None:
-                    break
+        best = _petrick(remaining, candidates) if len(candidates) <= 20 else None
         if best is None:
             # greedy: repeatedly take the prime covering the most leftovers
             best = set()

@@ -96,6 +96,26 @@ def test_refine_kc_target_rebuilds(capsys, tmp_path):
     assert "never: FAILS" in out and "kc_guess: HOLDS" in out
 
 
+def test_refine_kc_builds_each_candidate_once(capsys, tmp_path, monkeypatch):
+    from kbpcheck import cli
+    calls = []
+    real = cli.generate_runs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_runs", counting)
+    path = tmp_path / "kc.json"
+    path.write_text(json.dumps([
+        {"name": "never", "target": "kc", "expr": "false"},
+        {"name": "kc_guess", "target": "kc",
+         "expr": dc.builtin_predicate("kc_guess").expr}]))
+    code, _, _ = run_cli(capsys, "refine", "--file", str(path))
+    assert code == 0
+    assert len(calls) == 2     # one run set per candidate, no extra probe
+
+
 def test_synthesize_trivial_msg(capsys):
     code, out, _ = run_cli(capsys, "synthesize", "--formula", "K[C1](C1.msg == 1)",
                            "--at", "end")
