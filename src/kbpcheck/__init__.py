@@ -18,7 +18,7 @@ from .engine import (AgentProgram, Announce, AssignKnowledge, AssignLocal,
                      Scenario, eval_local_expr, execute_kbp, execute_step,
                      generate_runs, verify_kbp_fixpoint)
 from .reduction import (AgreementReport, ENGINE_MODES, engines_agree,
-                        invariant_history, random_formulas, reduce)
+                        invariant_history, random_formulas)
 from .dc import (DcParams, PredicateDef, build_cdc, builtin_predicate,
                  conflict_macro, dc_macros, final_predicates,
                  load_predicates_file, load_scenario_file, pinned_scenario,

@@ -3,21 +3,28 @@
 A protocol runs for a fixed horizon of macro steps.  At every step each agent
 announces one bit; all announcements of a step are simultaneous and observed
 at the step's end, together with that step's fresh shared key bits.  The
-round result rr[t] (xor of the three announcements) is recorded by the engine;
-each shared key appears in exactly two announcements, so the keys cancel and
-rr[t] equals the xor of the agents' contribution bits.
+round result rr[t] is the xor of the public announcements; each shared key
+appears in exactly two announcements, so the keys cancel and rr[t] equals the
+xor of the agents' contribution bits.
 
-Three execution paths share the same schedule and statement semantics:
+One lock-step loop builds every run set over all runs at once: announce, take
+rr as the xor of the public announcements, latch it, run the post-step
+assignments, log the knowledge tests.  Two observation models plug into it:
 
-  * execute_step       — scalar single-run reference semantics,
-  * generate_runs      — vectorized run-set construction; "naive" enumerates
-                         every key schedule exhaustively (the ground-truth
-                         oracle), "reduced" quotients the keys out and keeps
-                         one run per initial assignment,
-  * execute_kbp        — time-inductive execution of knowledge-based programs
-                         on the reduced representation: the run prefixes up to
-                         step t determine each agent's partition at t, which
-                         resolves every present-time knowledge test at t.
+  * naive   — one run per (initial assignment x key schedule), exhaustively;
+              agent i publicly says contribution xor both of its keys.  The
+              ground-truth oracle: rr is taken from what is said, so it does
+              not assume that the keys cancel.
+  * reduced — one run per initial assignment; the keys are quotiented out and
+              each agent observes, per step, its own contribution and the xor
+              of the others' contributions.
+
+generate_runs builds knowledge-free programs on either model, reduced_system
+exposes the oracle's deliberately coarse variant, and execute_kbp runs
+knowledge-based programs on the reduced model time-inductively: the run
+prefixes up to step t determine each agent's partition at t, which resolves
+every present-time knowledge test at t.  execute_step is the scalar
+single-run reference semantics the vectorized loop is tested against.
 """
 
 from __future__ import annotations
@@ -127,12 +134,6 @@ class ProtocolModel:
         return self.agents.index(agent) + 1
 
 
-def _local_readable(local: str) -> bool:
-    """Names an agent's own code may read (the local-expression vocabulary)."""
-    return (local in ("slot_request", "msg", "dlvrd")
-            or local.startswith(("rr[", "kc[", "rcvd0[", "rcvd1[")))
-
-
 def has_knowledge_statements(program: AgentProgram) -> bool:
     for block in program.phases:
         if isinstance(block.announce, IfKnowledge):
@@ -180,129 +181,6 @@ def admissible_assignments(model: ProtocolModel, scenario: Scenario):
     return out
 
 # ---------------------------------------------------------------------------
-# Shared construction helpers
-
-
-def _declare(model: ProtocolModel, engine_mode: str):
-    """Variable declarations for the chosen engine."""
-    agents = model.agents
-    everyone = frozenset(agents)
-    decls = []
-    T = model.horizon
-    for a in agents:
-        program = model.programs[a]
-        for name, init in program.locals_:
-            flat = f"{a}.{name}"
-            if name == "slot_request":
-                decls.append(VariableDecl(flat, tuple(range(model.slots + 1)), a, frozenset({a})))
-            else:
-                decls.append(VariableDecl(flat, (False, True), a, frozenset({a})))
-    for t in range(1, T + 1):
-        decls.append(VariableDecl(f"rr[{t}]", (False, True), None, everyone))
-    if engine_mode == "naive":
-        for name, ends in model.key_edges:
-            decls.append(VariableDecl(name, (False, True), None, frozenset(ends)))
-        for a in agents:
-            decls.append(VariableDecl(f"said[{model.agent_index(a)}]", (False, True), None, everyone))
-    elif engine_mode == "reduced":
-        for a in agents:
-            decls.append(VariableDecl(f"{a}.contrib", (False, True), a, frozenset({a})))
-            decls.append(VariableDecl(f"{a}.oxr", (False, True), a, frozenset({a})))
-    else:
-        raise UsageError(f"unknown engine mode {engine_mode!r} (use 'naive' or 'reduced')")
-    return decls
-
-
-class _Builder:
-    """Assembles an InterpretedSystem step by step over all runs at once."""
-
-    def __init__(self, model: ProtocolModel, scenario: Scenario, engine_mode: str,
-                 n_runs: int, meta: dict):
-        self.model = model
-        self.T = model.horizon
-        self.system = InterpretedSystem(model.agents, self.T, _declare(model, engine_mode),
-                                        n_runs, meta=meta)
-        self.latched: dict = {}
-        self.step_arrays: dict = {}
-
-    def init_locals(self, sr_cols: dict, msg_cols: dict):
-        n = self.system.n_runs
-        for a in self.model.agents:
-            program = self.model.programs[a]
-            for name, init in program.locals_:
-                flat = f"{a}.{name}"
-                if name == "slot_request":
-                    self.system.set_const(flat, sr_cols[a])
-                elif name == "msg":
-                    self.system.set_const(flat, msg_cols[a])
-                else:
-                    if init == "free":
-                        raise ModelError(f"history variable {flat!r} cannot be 'free'")
-                    step = program.assignment_step(name)
-                    arr = np.full(n, 1 if init else 0, dtype=np.uint8)
-                    if step is None:
-                        self.system.set_const(flat, arr)
-                    else:
-                        self.latched[flat] = arr
-                        self.system.set_latched(flat, arr, step)
-        for t in range(1, self.T + 1):
-            arr = np.zeros(n, dtype=np.uint8)
-            self.latched[f"rr[{t}]"] = arr
-            self.system.set_latched(f"rr[{t}]", arr, t)
-
-    def add_step_var(self, name):
-        arr = np.zeros((self.T + 1, self.system.n_runs), dtype=np.uint8)
-        self.step_arrays[name] = arr
-        self.system.set_step(name, arr)
-        return arr
-
-    def history_view(self, agent: str, time: int) -> le.HistoryView:
-        """Local view over run vectors: what the agent's own code may read."""
-        prefix = f"{agent}."
-        columns, latch = {}, {}
-        for name in self.system.observable_names(agent):
-            local = name[len(prefix):] if name.startswith(prefix) else name
-            if not _local_readable(local):
-                continue
-            columns[local] = self.system.column(name, time)
-            if name in self.latched:
-                latch[local] = self.system.latch_time(name)
-        return le.HistoryView(columns, time, latch, where=f" (agent {agent})")
-
-    def run_posts(self, step: int, evaluator: Optional[fm.Evaluator]):
-        for a in self.model.agents:
-            block = self.model.programs[a].phases[step - 1]
-            for stmt in block.post:
-                flat = f"{a}.{stmt.var}"
-                if isinstance(stmt, AssignLocal):
-                    view = self.history_view(a, step)
-                    value = le.eval_expr(stmt.expr, view)
-                    if not isinstance(value, np.ndarray):
-                        value = np.full(self.system.n_runs, bool(value))
-                else:
-                    value = evaluator.vector(stmt.formula, step)
-                self.latched[flat][:] = value.astype(np.uint8)
-
-    def announce_vec(self, agent: str, step: int, evaluator: Optional[fm.Evaluator],
-                     allow_knowledge: bool):
-        block = self.model.programs[agent].phases[step - 1]
-        view = self.history_view(agent, step - 1)
-        stmt = block.announce
-        if isinstance(stmt, Announce):
-            value = le.eval_expr(stmt.expr, view)
-        else:
-            if not allow_knowledge:
-                raise UsageError(
-                    "knowledge statements present; use execute_kbp or plug in concrete predicates")
-            test = evaluator.vector(stmt.test, step - 1)
-            then_v = le.eval_expr(stmt.then_expr, view)
-            else_v = le.eval_expr(stmt.else_expr, view)
-            value = np.where(test, then_v, else_v)
-        if not isinstance(value, np.ndarray):
-            value = np.full(self.system.n_runs, bool(value))
-        return value.astype(bool)
-
-# ---------------------------------------------------------------------------
 # Run generation
 
 
@@ -316,15 +194,7 @@ def generate_runs(model: ProtocolModel, scenario: Scenario, engine_mode: str = "
     everything a ring member can reconstruct from announcements and its own
     keys, and nothing more.
     """
-    for a in model.agents:
-        if has_knowledge_statements(model.programs[a]):
-            raise UsageError(
-                "knowledge statements present; use execute_kbp or plug in concrete predicates")
-    if engine_mode == "reduced":
-        return _build_reduced(model, scenario, allow_knowledge=False)
-    if engine_mode == "naive":
-        return _build_naive(model, scenario, max_naive_runs)
-    raise UsageError(f"unknown engine mode {engine_mode!r} (use 'naive' or 'reduced')")
+    return _build(model, scenario, engine_mode, max_naive_runs=max_naive_runs)
 
 
 def execute_kbp(model: ProtocolModel, scenario: Scenario) -> InterpretedSystem:
@@ -333,116 +203,174 @@ def execute_kbp(model: ProtocolModel, scenario: Scenario) -> InterpretedSystem:
     Knowledge tests must be present-time; they are resolved step by step
     against the partitions of the run prefixes generated so far.
     """
-    for a in model.agents:
-        _validate_present_time(model.programs[a])
-    return _build_reduced(model, scenario, allow_knowledge=True)
+    return _build(model, scenario, "reduced", knowledge=True)
 
 
 def reduced_system(model: ProtocolModel, scenario: Scenario,
                    coarse_fingerprints: bool = False) -> InterpretedSystem:
     """Reduced engine entry point; coarse_fingerprints deliberately weakens the
     observation basis (oracle fault-injection self-test only)."""
-    return _build_reduced(model, scenario, allow_knowledge=False,
-                          coarse=coarse_fingerprints)
+    return _build(model, scenario, "reduced", coarse=coarse_fingerprints)
 
 
-def _scenario_columns(model, vs, repeat=1):
+def _declare(model: ProtocolModel, engine_mode: str, coarse: bool):
+    """Variable declarations for the chosen engine.  coarse hides the others'
+    xor from every agent, so its fingerprints are too coarse on purpose."""
     agents = model.agents
-    sr_cols = {a: np.array([v[0][i] for v in vs], dtype=np.uint8).repeat(repeat)
-               for i, a in enumerate(agents)}
-    msg_cols = {a: np.array([int(v[1][i]) for v in vs], dtype=np.uint8).repeat(repeat)
-                for i, a in enumerate(agents)}
-    return sr_cols, msg_cols
+    everyone = frozenset(agents)
+    decls = []
+    for a in agents:
+        for name, _ in model.programs[a].locals_:
+            domain = tuple(range(model.slots + 1)) if name == "slot_request" else (False, True)
+            decls.append(VariableDecl(f"{a}.{name}", domain, a, frozenset({a})))
+    for t in range(1, model.horizon + 1):
+        decls.append(VariableDecl(f"rr[{t}]", (False, True), None, everyone))
+    if engine_mode == "naive":
+        for name, ends in model.key_edges:
+            decls.append(VariableDecl(name, (False, True), None, frozenset(ends)))
+        for a in agents:
+            decls.append(VariableDecl(f"said[{model.agent_index(a)}]", (False, True), None, everyone))
+    else:
+        for a in agents:
+            decls.append(VariableDecl(f"{a}.contrib", (False, True), a, frozenset({a})))
+            decls.append(VariableDecl(f"{a}.oxr", (False, True), a,
+                                      frozenset() if coarse else frozenset({a})))
+    return decls
 
 
-def _build_reduced(model: ProtocolModel, scenario: Scenario, allow_knowledge: bool,
-                   coarse: bool = False) -> InterpretedSystem:
-    vs = admissible_assignments(model, scenario)
-    meta = {"engine": "reduced", "scenario": scenario.name, "slots": model.slots,
-            "assignments": vs}
-    b = _Builder(model, scenario, "reduced", len(vs), meta)
-    sr_cols, msg_cols = _scenario_columns(model, vs)
-    b.init_locals(sr_cols, msg_cols)
-    contrib = {a: b.add_step_var(f"{a}.contrib") for a in model.agents}
-    oxr = {a: b.add_step_var(f"{a}.oxr") for a in model.agents}
-    if coarse:
-        # drop the others'-xor component from every fingerprint: too coarse
-        for a in model.agents:
-            basis = b.system._obs_basis[a]
-            b.system._obs_basis[a] = tuple(n for n in basis if not n.endswith(".oxr"))
-    evaluator = fm.Evaluator(b.system) if allow_knowledge else None
-    knowledge_log = []
-    for step in range(1, model.horizon + 1):
-        cs = {a: b.announce_vec(a, step, evaluator, allow_knowledge) for a in model.agents}
-        rr = np.zeros(b.system.n_runs, dtype=bool)
-        for a in model.agents:
-            rr ^= cs[a]
-        for a in model.agents:
-            contrib[a][step] = cs[a].astype(np.uint8)
-            oxr[a][step] = (rr ^ cs[a]).astype(np.uint8)
-        b.latched[f"rr[{step}]"][:] = rr.astype(np.uint8)
-        b.run_posts(step, evaluator)
-        if allow_knowledge:
-            block_log = []
-            for a in model.agents:
-                blk = model.programs[a].phases[step - 1]
-                if isinstance(blk.announce, IfKnowledge):
-                    block_log.append((a, "announce-test", blk.announce.test, step - 1))
-                for stmt in blk.post:
-                    if isinstance(stmt, AssignKnowledge):
-                        block_log.append((a, stmt.var, stmt.formula, step))
-            knowledge_log.extend(block_log)
-    b.system.meta["contrib"] = {a: contrib[a] for a in model.agents}
-    b.system.meta["knowledge_log"] = knowledge_log
-    system = b.system.finalize()
-    reserved = [name for name, _ in model.key_edges]
-    reserved += [f"said[{model.agent_index(a)}]" for a in model.agents]
-    for name in reserved:
-        system.excluded_atoms[name] = (
-            f"{name!r} mentions key/announcement material, which the reduced engine "
-            f"quotients out; rerun with the naive engine")
-    return system
+def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: list,
+                 repeat: int) -> dict:
+    """Set the initial and latched traces, each initial assignment repeated
+    `repeat` times; returns the latched arrays, which the loop fills in place."""
+    latched = {}
+    for i, a in enumerate(model.agents):
+        program = model.programs[a]
+        for name, init in program.locals_:
+            flat = f"{a}.{name}"
+            if name in ("slot_request", "msg"):
+                k = 0 if name == "slot_request" else 1
+                col = np.array([int(v[k][i]) for v in vs], dtype=np.uint8).repeat(repeat)
+                system.set_const(flat, col)
+                continue
+            if init == "free":
+                raise ModelError(f"history variable {flat!r} cannot be 'free'")
+            step = program.assignment_step(name)
+            arr = np.full(system.n_runs, 1 if init else 0, dtype=np.uint8)
+            if step is None:
+                system.set_const(flat, arr)
+            else:
+                latched[flat] = arr
+                system.set_latched(flat, arr, step)
+    for t in range(1, model.horizon + 1):
+        arr = np.zeros(system.n_runs, dtype=np.uint8)
+        latched[f"rr[{t}]"] = arr
+        system.set_latched(f"rr[{t}]", arr, t)
+    return latched
 
 
-def _build_naive(model: ProtocolModel, scenario: Scenario,
-                 max_naive_runs: int) -> InterpretedSystem:
+def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
+           knowledge: bool = False, coarse: bool = False,
+           max_naive_runs: int = 4_000_000) -> InterpretedSystem:
+    """The lock-step loop shared by both observation models.
+
+    With knowledge, knowledge tests are resolved against the partitions of
+    the run prefixes built so far; without, programs must be knowledge-free.
+    """
+    for a in model.agents:
+        if knowledge:
+            _validate_present_time(model.programs[a])
+        elif has_knowledge_statements(model.programs[a]):
+            raise UsageError(
+                "knowledge statements present; use execute_kbp or plug in concrete predicates")
+    if engine_mode not in ("naive", "reduced"):
+        raise UsageError(f"unknown engine mode {engine_mode!r} (use 'naive' or 'reduced')")
+    naive = engine_mode == "naive"
     vs = admissible_assignments(model, scenario)
     T = model.horizon
     edges = [name for name, _ in model.key_edges]
-    n_keys = 2 ** (len(edges) * T)
+    n_keys = 2 ** (len(edges) * T) if naive else 1
     n = len(vs) * n_keys
-    if n > max_naive_runs:
+    if naive and n > max_naive_runs:
         raise UsageError(
             f"naive engine would enumerate {n:,} runs (> {max_naive_runs:,}); "
             f"use the reduced engine, or raise max_naive_runs explicitly")
-    meta = {"engine": "naive", "scenario": scenario.name, "slots": model.slots,
-            "assignments": vs, "n_key_schedules": n_keys}
-    b = _Builder(model, scenario, "naive", n, meta)
-    sr_cols, msg_cols = _scenario_columns(model, vs, repeat=n_keys)
-    b.init_locals(sr_cols, msg_cols)
-    # key schedule kappa = run % n_keys; bit (step, edge) of kappa, step-1/edge-0
-    # least significant; runs are ordered by assignment first, then schedule
-    kappa = np.tile(np.arange(n_keys, dtype=np.int64), len(vs))
-    keys = {name: b.add_step_var(name) for name in edges}
-    for t in range(1, T + 1):
-        for j, name in enumerate(edges):
-            keys[name][t] = ((kappa >> (len(edges) * (t - 1) + j)) & 1).astype(np.uint8)
-    said = {a: b.add_step_var(f"said[{model.agent_index(a)}]") for a in model.agents}
-    contrib = {a: np.zeros((T + 1, n), dtype=np.uint8) for a in model.agents}
+    meta = {"engine": engine_mode, "scenario": scenario.name, "slots": model.slots,
+            "assignments": vs}
+    if naive:
+        meta["n_key_schedules"] = n_keys
+    system = InterpretedSystem(model.agents, T, _declare(model, engine_mode, coarse), n,
+                               meta=meta)
+    latched = _init_locals(model, system, vs, n_keys)
+
+    def step_var(name):
+        arr = np.zeros((T + 1, n), dtype=np.uint8)
+        system.set_step(name, arr)
+        return arr
+
+    knowledge_log = []
+    if naive:
+        # key schedule kappa = run % n_keys; bit (step, edge) of kappa, step-1/edge-0
+        # least significant; runs are ordered by assignment first, then schedule
+        kappa = np.tile(np.arange(n_keys, dtype=np.int64), len(vs))
+        keys = {name: step_var(name) for name in edges}
+        for t in range(1, T + 1):
+            for j, name in enumerate(edges):
+                keys[name][t] = (kappa >> (len(edges) * (t - 1) + j)) & 1
+        said = {a: step_var(f"said[{model.agent_index(a)}]") for a in model.agents}
+        contrib = {a: np.zeros((T + 1, n), dtype=np.uint8) for a in model.agents}
+
+        def publish(step):
+            for a in model.agents:
+                left, right = model.agent_keys(a)
+                said[a][step] = contrib[a][step] ^ keys[left][step] ^ keys[right][step]
+            return np.bitwise_xor.reduce([said[a][step] for a in model.agents])
+    else:
+        contrib = {a: step_var(f"{a}.contrib") for a in model.agents}
+        oxr = {a: step_var(f"{a}.oxr") for a in model.agents}
+        for name in edges + [f"said[{model.agent_index(a)}]" for a in model.agents]:
+            system.excluded_atoms[name] = (
+                f"{name!r} mentions key/announcement material, which the reduced engine "
+                f"quotients out; rerun with the naive engine")
+        system.meta["knowledge_log"] = knowledge_log
+
+        def publish(step):
+            rr = np.bitwise_xor.reduce([contrib[a][step] for a in model.agents])
+            for a in model.agents:
+                oxr[a][step] = rr ^ contrib[a][step]
+            return rr
+
+    evaluator = fm.Evaluator(system) if knowledge else None
     for step in range(1, T + 1):
-        rr = np.zeros(n, dtype=bool)
+        # announcements read the time step-1 view only, so writing one agent's
+        # contribution at `step` cannot affect another's
         for a in model.agents:
-            c = b.announce_vec(a, step, None, allow_knowledge=False)
-            left, right = model.agent_keys(a)
-            out = c ^ keys[left][step].astype(bool) ^ keys[right][step].astype(bool)
-            said[a][step] = out.astype(np.uint8)
-            contrib[a][step] = c.astype(np.uint8)
+            contrib[a][step] = _announce(model, system, a, step, evaluator)
+        latched[f"rr[{step}]"][:] = publish(step)
         for a in model.agents:
-            rr ^= said[a][step].astype(bool)
-        b.latched[f"rr[{step}]"][:] = rr.astype(np.uint8)
-        b.run_posts(step, None)
-    b.system.meta["contrib"] = contrib
-    return b.system.finalize()
+            block = model.programs[a].phases[step - 1]
+            if isinstance(block.announce, IfKnowledge):
+                knowledge_log.append((a, "announce-test", block.announce.test, step - 1))
+            for stmt in block.post:
+                if isinstance(stmt, AssignLocal):
+                    value = _scalarize(le.eval_expr(stmt.expr, local_view(system, a, step)), n)
+                else:
+                    value = evaluator.vector(stmt.formula, step)
+                    knowledge_log.append((a, stmt.var, stmt.formula, step))
+                latched[f"{a}.{stmt.var}"][:] = value
+    system.meta["contrib"] = contrib
+    return system.finalize()
+
+
+def _announce(model: ProtocolModel, system: InterpretedSystem, agent: str, step: int,
+              evaluator: Optional[fm.Evaluator]) -> np.ndarray:
+    """The agent's contribution bits at `step`, from its view at step - 1."""
+    stmt = model.programs[agent].phases[step - 1].announce
+    view = local_view(system, agent, step - 1)
+    if isinstance(stmt, Announce):
+        return _scalarize(le.eval_expr(stmt.expr, view), system.n_runs)
+    test = evaluator.vector(stmt.test, step - 1)
+    return np.where(test, le.eval_expr(stmt.then_expr, view),
+                    le.eval_expr(stmt.else_expr, view)).astype(bool)
 
 # ---------------------------------------------------------------------------
 # Scalar reference semantics
@@ -461,25 +389,19 @@ def execute_step(model: ProtocolModel, state: GlobalState, key_bits: dict,
     if state.time != step - 1:
         raise UsageError(f"state is at time {state.time}, expected {step - 1}")
     valuation = dict(state.valuation)
-
-    def view(agent, time):
-        prefix = f"{agent}."
-        columns, latch = {}, {}
-        for name, value in valuation.items():
-            local = name[len(prefix):] if name.startswith(prefix) else name
-            if "." in local or not _local_readable(local):
-                continue
-            columns[local] = value
-            if local.startswith("rr["):
-                latch[local] = int(local[3:-1])
-        program = model.programs[agent]
+    latch = {}
+    for a in model.agents:
+        program = model.programs[a]
+        latch[a] = {f"rr[{t}]": t for t in range(1, model.horizon + 1)}
         for name, _ in program.locals_:
             assigned = program.assignment_step(name)
             if assigned is not None:
-                latch[name] = assigned
-        return le.HistoryView(columns, time, latch, where=f" (agent {agent})")
+                latch[a][f"{a}.{name}"] = assigned
 
-    contribs, saids = {}, {}
+    def view(agent, time):
+        return le.HistoryView.for_agent(agent, time, valuation, latch[agent])
+
+    saids = {}
     for a in model.agents:
         block = model.programs[a].phases[step - 1]
         if not isinstance(block.announce, Announce):
@@ -487,7 +409,6 @@ def execute_step(model: ProtocolModel, state: GlobalState, key_bits: dict,
                 "knowledge statements present; use execute_kbp or plug in concrete predicates")
         c = bool(le.eval_expr(block.announce.expr, view(a, step - 1)))
         left, right = model.agent_keys(a)
-        contribs[a] = c
         saids[a] = c ^ bool(key_bits[left]) ^ bool(key_bits[right])
     rr = False
     for a in model.agents:
@@ -535,7 +456,9 @@ def eval_local_expr(expr, observation_history) -> bool:
     """Value of a local expression over an agent's accumulated history."""
     if isinstance(expr, str):
         expr = le.parse_local_expr(expr)
-    view = le.HistoryView.from_observation(observation_history)
+    h = observation_history
+    view = le.HistoryView.for_agent(h.agent, h.time, dict(zip(h.names, h.records[-1])),
+                                    h.latch_times)
     return bool(le.eval_expr(expr, view))
 
 # ---------------------------------------------------------------------------
@@ -568,18 +491,11 @@ def verify_kbp_fixpoint(system: InterpretedSystem, model: ProtocolModel) -> bool
     log = system.meta.get("knowledge_log", [])
     evaluator = fm.Evaluator(system)
     for agent, var, phi, time in log:
-        recomputed = evaluator.vector(phi, time)
         if var == "announce-test":
-            step = time + 1
-            block = model.programs[agent].phases[step - 1]
-            then_vec = _scalarize(le.eval_expr(block.announce.then_expr,
-                                               local_view(system, agent, time)), system.n_runs)
-            else_vec = _scalarize(le.eval_expr(block.announce.else_expr,
-                                               local_view(system, agent, time)), system.n_runs)
-            expect = np.where(recomputed, then_vec, else_vec)
-            actual = system.meta["contrib"][agent][step].astype(bool)
+            expect = _announce(model, system, agent, time + 1, evaluator)
+            actual = system.meta["contrib"][agent][time + 1].astype(bool)
         else:
-            expect = recomputed
+            expect = evaluator.vector(phi, time)
             actual = system.column(f"{agent}.{var}", time).astype(bool)
         if not np.array_equal(expect, actual):
             return False
@@ -588,16 +504,9 @@ def verify_kbp_fixpoint(system: InterpretedSystem, model: ProtocolModel) -> bool
 
 def local_view(system, agent, time) -> le.HistoryView:
     """What the agent's own code can read at `time`, as run vectors."""
-    prefix = f"{agent}."
-    columns, latch = {}, {}
-    for name in system.observable_names(agent):
-        local = name[len(prefix):] if name.startswith(prefix) else name
-        if not _local_readable(local) or name in system.excluded_atoms:
-            continue
-        columns[local] = system.column(name, time)
-        if system._traces[name].kind == "latched":
-            latch[local] = system.latch_time(name)
-    return le.HistoryView(columns, time, latch, where=f" (agent {agent})")
+    names = [n for n in system.observable_names(agent) if n not in system.excluded_atoms]
+    return le.HistoryView.for_agent(agent, time, {n: system.column(n, time) for n in names},
+                                    {n: system.latch_time(n) for n in names})
 
 
 def _scalarize(value, n):

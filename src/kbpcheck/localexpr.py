@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import ModelError, ObservationHistory, UsageError
+from .model import ModelError, UsageError
 
 # ---------------------------------------------------------------------------
 # AST
@@ -306,17 +306,28 @@ class HistoryView:
         return self.ref("slot_request", None)
 
     @classmethod
-    def from_observation(cls, history: ObservationHistory) -> "HistoryView":
-        prefix = history.agent + "."
-        columns = {}
-        for name in history.names:
+    def for_agent(cls, agent: str, time: int, values: dict,
+                  latch: dict) -> "HistoryView":
+        """The agent's view of flat-named values (own names are prefixed
+        "agent."): the prefix is stripped and only the local-expression
+        vocabulary is kept.  latch maps flat names to their assignment step."""
+        prefix = f"{agent}."
+        columns, steps = {}, {}
+        for name, value in values.items():
             local = name[len(prefix):] if name.startswith(prefix) else name
-            columns[local] = history.value(name)
-        latch = {}
-        for name, t in history.latch_times.items():
-            local = name[len(prefix):] if name.startswith(prefix) else name
-            latch[local] = t
-        return cls(columns, history.time, latch, where=f" (agent {history.agent})")
+            if _readable(local):
+                columns[local] = value
+                if name in latch:
+                    steps[local] = latch[name]
+        return cls(columns, time, steps, where=f" (agent {agent})")
+
+
+def _readable(local: str) -> bool:
+    """Whether an agent-local name belongs to the local-expression vocabulary."""
+    base, bracket, _ = local.partition("[")
+    if bracket:
+        return base in _INDEXED
+    return local in _BARE or local == "slot_request"
 
 
 def _resolve(idx: Optional[Idx], slot: Optional[int], bindings: dict) -> Optional[int]:
@@ -406,29 +417,3 @@ def instantiate(expr: LocalExpr, slot: int) -> LocalExpr:
         return LAny(expr.var, expr.lo, expr.hi, ground(expr.except_),
                     instantiate(expr.body, slot))
     raise TypeError(f"not a local expression node: {expr!r}")
-
-
-def expr_reads(expr: LocalExpr, slot: Optional[int] = None) -> set:
-    """Names the expression may read, with indices resolved where possible."""
-    out = set()
-
-    def walk(e, bindings):
-        if isinstance(e, LRef):
-            try:
-                idx = _resolve(e.index, slot, bindings)
-                out.add(e.base if idx is None else f"{e.base}[{idx}]")
-            except UsageError:
-                out.add(e.base + "[?]")
-        elif isinstance(e, LSlotCmp):
-            out.add("slot_request")
-        elif isinstance(e, LNot):
-            walk(e.child, bindings)
-        elif isinstance(e, LBin):
-            walk(e.left, bindings)
-            walk(e.right, bindings)
-        elif isinstance(e, LAny):
-            for v in range(e.lo, e.hi + 1):
-                walk(e.body, {**bindings, e.var: v})
-
-    walk(expr, {})
-    return out

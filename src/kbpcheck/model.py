@@ -143,13 +143,6 @@ class IndistPartition:
     labels: np.ndarray
     n_blocks: int
 
-    def block_of(self, point: Point) -> np.ndarray:
-        label = int(self.labels[point.run])
-        for runs in self.blocks.values():
-            if self.labels[runs[0]] == label:
-                return runs
-        raise KeyError(point)
-
 
 class _Trace:
     """Per-variable storage.  kind distinguishes the three time behaviours:
@@ -212,15 +205,9 @@ class InterpretedSystem:
         self._labels_cache: dict = {}
         self._obs_names = {a: tuple(n for n, d in self.variables.items() if a in d.observable_by)
                            for a in self.agents}
-        self._obs_basis = {a: tuple(n for n in self._obs_names[a]
-                                    if self._traces_kind_hint(n) != "latched")
-                           for a in self.agents}
+        self._obs_basis: dict = {}          # agent -> primitive observations, on first use
 
     # construction -------------------------------------------------------
-
-    def _traces_kind_hint(self, name):
-        trace = self._traces.get(name)
-        return trace.kind if trace is not None else None
 
     def set_const(self, name: str, values: np.ndarray):
         self._set(name, _Trace("const", self._coerce(name, values)))
@@ -246,10 +233,6 @@ class InterpretedSystem:
         if name not in self.variables:
             raise ModelError(f"trace for undeclared variable {name!r}")
         self._traces[name] = trace
-        # refresh the primitive-observation basis now that the kind is known
-        self._obs_basis = {a: tuple(n for n in self._obs_names[a]
-                                    if n in self._traces and self._traces[n].kind != "latched")
-                           for a in self.agents}
 
     def finalize(self) -> "InterpretedSystem":
         missing = set(self.variables) - set(self._traces)
@@ -297,43 +280,41 @@ class InterpretedSystem:
     def run(self, run_id: int) -> Run:
         return Run(run_id, tuple(self.state(run_id, t) for t in range(self.horizon + 1)))
 
-    def history_columns(self, agent: str, time: int) -> dict:
-        """Latest values of every variable the agent can read, as run vectors."""
-        self._check_agent(agent)
-        return {name: self.column(name, time) for name in self._obs_names[agent]}
-
     # partitions ----------------------------------------------------------
 
-    def partition_labels(self, agent: str, time: int, basis: Optional[str] = None):
+    def partition_labels(self, agent: str, time: int):
         """Dense block labels for the time-t points, refined incrementally.
 
         Labels at time t group runs by equality of the primitive observation
-        records at times 0..t; label numbering is by least member run.  The
-        optional basis override exists for the oracle's fault-injection
-        self-test ("own" drops shared observations on purpose).
+        records at times 0..t; label numbering is by least member run.
         """
         self._check_agent(agent)
         if not 0 <= time <= self.horizon:
             raise UsageError(f"time {time} outside 0..{self.horizon}")
-        key = (agent, time, basis)
+        key = (agent, time)
         if key in self._labels_cache:
             return self._labels_cache[key]
-        names = self._basis_names(agent, basis)
+        names = self._basis(agent)
         if time == 0:
             labels, n = self._group([self.column(n, 0) for n in names],
                                     [self.variables[n].bits() for n in names], None)
         else:
-            prev, n_prev = self.partition_labels(agent, time - 1, basis)
+            prev, n_prev = self.partition_labels(agent, time - 1)
             cols = [self.column(n, time) for n in names]
             bits = [self.variables[n].bits() for n in names]
             labels, n = self._group(cols, bits, (prev, n_prev))
         self._labels_cache[key] = (labels, n)
         return labels, n
 
-    def _basis_names(self, agent, basis):
-        names = self._obs_basis[agent]
-        if basis == "own":
-            names = tuple(n for n in names if self.variables[n].owner == agent)
+    def _basis(self, agent):
+        """The agent's primitive observations: its const and step traces.
+        Computed once, so every trace must be set before partitions are read
+        (execute_kbp reads them mid-build, after setting every trace)."""
+        names = self._obs_basis.get(agent)
+        if names is None:
+            names = tuple(n for n in self._obs_names[agent]
+                          if self._traces[n].kind != "latched")
+            self._obs_basis[agent] = names
         return names
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""Two evaluation engines and the oracle proving they agree.
+"""The oracle proving the two observation models of the engine agree.
 
 The naive engine enumerates every key schedule exhaustively: it is the
 ground-truth semantics, feasible only at small scale.  The reduced engine
@@ -63,10 +63,6 @@ def invariant_history(system: InterpretedSystem, run_or_assignment, agent: str,
         pairs.append((own, total ^ own))
     return tuple(pairs)
 
-
-def reduce(model: ProtocolModel, scenario: Scenario) -> InterpretedSystem:
-    """The key-elimination engine (see generate_runs for the naive one)."""
-    return reduced_system(model, scenario)
 
 # ---------------------------------------------------------------------------
 # Random formula suite
@@ -167,7 +163,7 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
     """
     naive = naive if naive is not None else generate_runs(
         model, scenario, "naive", max_naive_runs=max_naive_runs)
-    reduced = reduced if reduced is not None else reduce(model, scenario)
+    reduced = reduced if reduced is not None else reduced_system(model, scenario)
     suite = list(formula_suite)
     if n_random:
         if seed is None:

@@ -7,9 +7,10 @@ import brute
 from conftest import run_of
 from kbpcheck import dc
 from kbpcheck import formula as fm
+from kbpcheck import localexpr as le
 from kbpcheck.engine import (KeySchedule, contribution_matrix, eval_local_expr,
                              execute_kbp, execute_step, generate_runs,
-                             initial_vectors, rr_vector, run_single,
+                             initial_vectors, local_view, rr_vector, run_single,
                              verify_kbp_fixpoint)
 from kbpcheck.model import ModelError, Point, UsageError, observation_of
 
@@ -132,10 +133,19 @@ def test_naive_matches_scalar_reference(model2, naive2):
                      for t in range(1, model2.horizon + 1))
         sr, msg = initial_vectors(naive2, run)
         states = run_single(model2, sr, msg, KeySchedule(bits))
+        latched = [f"{base}[{s}]" for base in ("kc", "rcvd0", "rcvd1")
+                   for s in range(1, model2.slots + 1)] + ["dlvrd"]
         for t in range(1, model2.horizon + 1):
+            state = states[t].valuation
             for i, agent in enumerate(naive2.agents):
-                assert bool(naive2.column(f"said[{i + 1}]", t)[run]) == \
-                    states[t].valuation[f"said[{i + 1}]"]
+                said = state[f"said[{i + 1}]"]
+                assert bool(naive2.column(f"said[{i + 1}]", t)[run]) == said
+                left, right = model2.agent_keys(agent)
+                assert bool(naive2.meta["contrib"][agent][t][run]) == \
+                    said ^ state[left] ^ state[right]
+                for name in latched:
+                    flat = f"{agent}.{name}"
+                    assert bool(naive2.column(flat, t)[run]) == state[flat]
             assert bool(naive2.column(f"rr[{t}]", t)[run]) == \
                 states[t].valuation[f"rr[{t}]"]
 
@@ -230,3 +240,31 @@ def test_eval_local_expr_rejects_future_reads(sys_unknown):
     hist = observation_of(sys_unknown, Point(0, 3), "C1")
     with pytest.raises(ModelError):
         eval_local_expr("rr[5]", hist)
+
+
+def test_observation_and_run_vector_views_agree(sys_unknown):
+    # one history's scalar view and the run-vector view of the same time give
+    # the same value, and refuse the same too-early reads
+    exprs = [le.instantiate(pred.ast, s) for pred in dc.final_predicates().values()
+             for s in range(1, 4)]
+    runs = random.Random(31).sample(range(sys_unknown.n_runs), 12)
+    for t in range(sys_unknown.horizon + 1):
+        for agent in sys_unknown.agents:
+            view = local_view(sys_unknown, agent, t)
+            vectors = []
+            for expr in exprs:
+                try:
+                    vectors.append(np.broadcast_to(le.eval_expr(expr, view),
+                                                   sys_unknown.n_runs))
+                except ModelError:
+                    vectors.append(None)
+            if t == sys_unknown.horizon:
+                assert all(v is not None for v in vectors)
+            for run in runs:
+                hist = observation_of(sys_unknown, Point(run, t), agent)
+                for expr, vec in zip(exprs, vectors):
+                    if vec is None:
+                        with pytest.raises(ModelError):
+                            eval_local_expr(expr, hist)
+                    else:
+                        assert eval_local_expr(expr, hist) == bool(vec[run])

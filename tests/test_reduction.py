@@ -7,7 +7,7 @@ from kbpcheck import formula as fm
 from kbpcheck.engine import reduced_system
 from kbpcheck.model import UsageError
 from kbpcheck.reduction import (check_engine_mode, engines_agree,
-                                invariant_history, random_formulas, reduce)
+                                invariant_history, random_formulas)
 
 
 def test_engine_mode_validation():
@@ -40,8 +40,8 @@ def test_invariant_history_validates(sys_unknown):
 
 
 def test_reduce_counts(model3, scen_unknown):
-    assert reduce(model3, scen_unknown).n_runs == 512
-    assert reduce(model3, dc.referendum_scenario()).n_runs == 216
+    assert reduced_system(model3, scen_unknown).n_runs == 512
+    assert reduced_system(model3, dc.referendum_scenario()).n_runs == 216
 
 
 def test_reduced_rejects_key_atoms(sys_unknown):
@@ -53,7 +53,7 @@ def test_reduced_rejects_key_atoms(sys_unknown):
 
 
 def test_singleton_scenario_knowledge_collapses(model3):
-    system = reduce(model3, dc.pinned_scenario([1, 2, 3], [1, 0, 1]))
+    system = reduced_system(model3, dc.pinned_scenario([1, 2, 3], [1, 0, 1]))
     assert system.n_runs == 1
     phi = dc.conflict_macro(1)
     ev = fm.Evaluator(system)
