@@ -21,7 +21,7 @@ import sys
 from . import dc
 from . import formula as fm
 from . import reduction
-from .engine import execute_kbp, generate_runs
+from .engine import ENGINE_MODES, execute_kbp, generate_runs
 from .model import ModelError, UsageError
 from .refine import (check_candidate, counterexample_from_verdict,
                      refine_sequence, render_counterexample, render_run_table,
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.entry(args)
-    except (UsageError, ModelError, FileNotFoundError) as exc:
+    except (UsageError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -97,7 +97,7 @@ def _common(p):
                    help="unknown | referendum | pinned | file:PATH (default unknown)")
     p.add_argument("--mode", choices=dc.MODES, default=None,
                    help="speculative (default) or conservative")
-    p.add_argument("--engine", choices=reduction.ENGINE_MODES, default="reduced")
+    p.add_argument("--engine", choices=ENGINE_MODES, default="reduced")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--assign", help='pinned vectors, "slot_request=[..];msg=[..]"',
                    dest="assign", default=None)
@@ -107,8 +107,8 @@ def _common(p):
 
 
 def parse_assign(text: str):
-    m = re.fullmatch(
-        r"\s*slot_request\s*=\s*\[([0-9,\s]+)\]\s*;\s*msg\s*=\s*\[([0-9,\s]+)\]\s*", text)
+    ints = r"\[(\s*\d+(?:\s*,\s*\d+)*\s*)\]"
+    m = re.fullmatch(rf"\s*slot_request\s*=\s*{ints}\s*;\s*msg\s*=\s*{ints}\s*", text)
     if not m:
         raise UsageError('bad --assign (expected "slot_request=[..];msg=[..]")')
     sr = [int(v) for v in m.group(1).split(",")]
@@ -131,25 +131,29 @@ def resolve_scenario(args):
     return scenario, (mode or "speculative")
 
 
-def build_system(scenario, mode, engine="reduced"):
-    """Candidate system under the validated predicates; conservative mode has
-    no closed-form kc, so its kc tables are synthesized from the knowledge-
-    based program first."""
-    if mode == "conservative":
-        predicates = dict(dc.final_predicates(),
-                          kc=conservative_kc_predicate(scenario))
-    else:
-        predicates = None
+def build_system(scenario, mode, engine="reduced", kc=None):
+    """Candidate system under the validated predicates, with `kc` in place of
+    the kc predicate when given.  Conservative mode has no closed-form kc, so
+    by default its kc tables are synthesized from the knowledge-based program
+    first."""
+    if kc is None and mode == "conservative":
+        kc = conservative_kc_predicate(scenario)
+    predicates = None if kc is None else dict(dc.final_predicates(), kc=kc)
     model = dc.build_cdc(dc.DcParams(mode=mode), predicates)
     return model, generate_runs(model, scenario, engine)
 
 
+def kbp_system(scenario, mode):
+    """Run set of the knowledge-based program."""
+    return execute_kbp(dc.build_cdc(dc.DcParams(mode=mode), kbp=True), scenario)
+
+
 def conservative_kc_predicate(scenario):
-    kbp_model = dc.build_cdc(dc.DcParams(mode="conservative"), kbp=True)
-    ksys = execute_kbp(kbp_model, scenario)
+    ksys = kbp_system(scenario, "conservative")
+    slots = ksys.meta["slots"]
     exprs = {}
-    for s in range(1, 4):
-        know, t = dc.target_formula("kc", "C1", s, mode="conservative")
+    for s in range(1, slots + 1):
+        know, t = dc.target_formula("kc", "C1", s, slots, "conservative")
         exprs[s] = synthesize_predicate(ksys, know, "C1", t).sop_text
     return dc.PerSlotPredicate("kc_synthesized", "kc", exprs)
 
@@ -168,15 +172,16 @@ def cmd_check(args) -> int:
     from .formula import Evaluator, check_valid_at
     spec_ids = list(dc.SPEC_IDS) if args.spec == "all" else [args.spec]
     evaluator = Evaluator(system)
-    results, any_fail = [], False
+    results, counterexamples = [], []
     for sid in spec_ids:
         if sid == ("1c" if mode == "speculative" else "1s") and args.spec == "all":
             continue  # the kc equivalence of the other mode does not apply
-        for agent, slot in dc.spec_instances(sid, agent=args.agent, slot=args.slot):
-            phi, time = dc.spec(sid, agent, slot)
+        for agent, slot in dc.spec_instances(sid, model.slots, args.agent, args.slot):
+            phi, time = dc.spec(sid, agent, slot, model.slots)
             verdict = check_valid_at(system, phi, time, evaluator)
             cex = counterexample_from_verdict(system, verdict)
-            any_fail = any_fail or not verdict.holds
+            if cex:
+                counterexamples.append(cex)
             results.append({"spec": sid, "agent": agent, "slot": slot, "time": time,
                             "verdict": verdict.outcome,
                             "counterexample": cex.to_json() if cex else None})
@@ -188,25 +193,9 @@ def cmd_check(args) -> int:
             slot_txt = f" slot {r['slot']}" if r["slot"] else ""
             print(f"spec {r['spec']} agent {r['agent']}{slot_txt} "
                   f"time {r['time']}: {r['verdict'].upper()}")
-        shown = 0
-        for r in results:
-            if r["counterexample"] and shown < 3:
-                cex = r["counterexample"]
-                print(_cex_text(cex))
-                shown += 1
-    return 1 if any_fail else 0
-
-
-def _cex_text(cex_json) -> str:
-    from .refine import Counterexample, Witness
-    witnesses = [Witness(0, w["slot_request"], w["msg"], w["contrib"], w["rr"],
-                         "primary" if i == 0 else "indistinguishable")
-                 for i, w in enumerate(cex_json["witnesses"])]
-    cex = Counterexample(cex_json["formula"], cex_json["time"], witnesses,
-                         direction=cex_json.get("direction"),
-                         agent=cex_json.get("agent"),
-                         body=cex_json.get("body"))
-    return render_counterexample(cex)
+        for cex in counterexamples[:3]:
+            print(render_counterexample(cex))
+    return 1 if counterexamples else 0
 
 
 def cmd_refine(args) -> int:
@@ -217,28 +206,26 @@ def cmd_refine(args) -> int:
         raise UsageError(f"predicate file mixes targets {sorted(targets)}")
     target = targets.pop()
     agent, slot = args.agent, args.slot
-    if args.formula:
-        know = None  # parsed against the system below
-    else:
-        know, time = dc.target_formula(target, agent, slot, mode=mode)
-    if args.at:
-        time = parse_at(args.at)
-
     if target == "kc":
-        def builder(candidate):
-            preds = dict(dc.final_predicates(), kc=candidate)
-            model = dc.build_cdc(dc.DcParams(mode=mode), preds)
-            return generate_runs(model, scenario, args.engine)
-        system_or_builder = builder
+        # kc changes behaviour, so each candidate gets its own system; the
+        # first is built here, to read the slot count and parse --formula
+        first = build_system(scenario, mode, args.engine, kc=candidates[0])[1]
+
+        def system_or_builder(candidate):
+            if candidate is candidates[0]:
+                return first
+            return build_system(scenario, mode, args.engine, kc=candidate)[1]
     else:
-        _, system_or_builder = build_system(scenario, mode, args.engine)
+        first = system_or_builder = build_system(scenario, mode, args.engine)[1]
+    slots = first.meta["slots"]
     if args.formula:
-        # a kc chain builds one system per candidate; parse against the first
-        probe_system = builder(candidates[0]) if target == "kc" else system_or_builder
-        know = fm.parse_formula(args.formula, model=probe_system,
-                                macros=dc.dc_macros())
+        know = fm.parse_formula(args.formula, model=first, macros=dc.dc_macros(slots))
         if args.at is None:
             raise UsageError("--formula needs --at")
+    else:
+        know, time = dc.target_formula(target, agent, slot, slots, mode)
+    if args.at:
+        time = parse_at(args.at, slots)
     report = refine_sequence(system_or_builder, candidates, know, agent, time, slot=slot)
     if args.format == "json":
         emit_json(report.to_json())
@@ -253,7 +240,7 @@ def cmd_refine(args) -> int:
     return 0 if report.passed else 1
 
 
-def parse_at(text: str, slots: int = 3) -> int:
+def parse_at(text: str, slots: int = dc.DcParams.slots) -> int:
     if text == "end":
         return 2 * slots
     m = re.fullmatch(r"(res|tx):([0-9]+)", text)
@@ -268,15 +255,15 @@ def parse_at(text: str, slots: int = 3) -> int:
 def cmd_synthesize(args) -> int:
     scenario, mode = resolve_scenario(args)
     if mode == "conservative":
-        kbp_model = dc.build_cdc(dc.DcParams(mode=mode), kbp=True)
-        system = execute_kbp(kbp_model, scenario)
+        system = kbp_system(scenario, mode)
     else:
         _, system = build_system(scenario, mode, args.engine)
-    phi = fm.parse_formula(args.formula, model=system, macros=dc.dc_macros())
+    slots = system.meta["slots"]
+    phi = fm.parse_formula(args.formula, model=system, macros=dc.dc_macros(slots))
     agent = args.agent or _first_know_agent(phi)
     if agent is None:
         raise UsageError("no K in the formula; pass --agent explicitly")
-    time = parse_at(args.at)
+    time = parse_at(args.at, slots)
     pred = synthesize_predicate(system, phi, agent, time)
     verdict = check_candidate(system, pred, phi, agent, time, name="synthesized")
     payload = pred.to_json()

@@ -18,6 +18,12 @@ This module builds both forms of the protocol:
     below ships the refinement chain cf1 -> cf2 -> cf3 and the validated
     kc / rcvd / dlvrd predicates).
 
+One table, target_formula, pairs each of these variables (kc[s], rcvd0[s],
+rcvd1[s], dlvrd) with the knowledge formula it stands for and the time it is
+checked at.  The KBP assigns the formula there, the implementation assigns
+the predicate there, and the equivalence specifications (1s, 1c, 4a, 4b, 5)
+state that the two agree there, so all three come from that one table.
+
 It also owns the conflict/sender macros, the numbered correctness
 specifications (1s, 1c, 2, 3, 4a, 4b, 5, 6) with their scheduled check times,
 the stock scenarios, and the JSON file formats used by the CLI.
@@ -26,6 +32,7 @@ the stock scenarios, and the JSON file formats used by the CLI.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -48,17 +55,12 @@ PREDICATE_TARGETS = ("kc", "conflict_free", "rcvd0", "rcvd1", "dlvrd")
 class DcParams:
     slots: int = 3
     mode: str = "speculative"
-    scenario: Optional[Scenario] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.slots < 2:
             raise UsageError("need at least 2 slots")
-
-    @property
-    def horizon(self) -> int:
-        return 2 * self.slots
 
 # ---------------------------------------------------------------------------
 # Macros
@@ -238,7 +240,6 @@ def build_cdc(params: DcParams, predicates: Optional[dict] = None,
     guard slot_request == s && kc[s].
     """
     n = params.slots
-    programs = {}
     if not kbp:
         if predicates is None:
             predicates = final_predicates(n)
@@ -248,66 +249,48 @@ def build_cdc(params: DcParams, predicates: Optional[dict] = None,
         for target, pred in predicates.items():
             if not hasattr(pred, "ground"):
                 raise UsageError(f"target {target!r}: not a predicate definition")
-    for agent in AGENTS:
-        programs[agent] = _agent_program(agent, params, predicates, kbp)
-    meta = {"mode": params.mode, "kbp": kbp, "slots": n}
-    return ProtocolModel(AGENTS, n, 2 * n, programs, KEY_EDGES,
-                         macros=dc_macros(n), meta=meta)
+    programs = {a: _agent_program(a, params, predicates, kbp) for a in AGENTS}
+    return ProtocolModel(AGENTS, n, 2 * n, programs, KEY_EDGES)
 
 
 def _agent_program(agent: str, params: DcParams, predicates: Optional[dict],
                    kbp: bool) -> AgentProgram:
-    n = params.slots
+    """Each target variable is assigned at its target_formula check time: the
+    KBP assigns the knowledge formula, the implementation the predicate.  The
+    KBP tests kc's formula inline in its transmission guard instead."""
+    n, slots = params.slots, range(1, params.slots + 1)
+    indexed = ("rcvd0", "rcvd1") if kbp else ("kc", "rcvd0", "rcvd1")
     locals_ = [("slot_request", "free"), ("msg", "free")]
-    if not kbp:
-        locals_ += [(f"kc[{s}]", False) for s in range(1, n + 1)]
-    locals_ += [(f"rcvd0[{s}]", False) for s in range(1, n + 1)]
-    locals_ += [(f"rcvd1[{s}]", False) for s in range(1, n + 1)]
+    locals_ += [(_target_var(t, s), False) for t in indexed for s in slots]
     locals_.append(("dlvrd", False))
+
+    # within a step: rcvd0[s], rcvd1[s], kc[s+1], then dlvrd
+    post = {step: [] for step in range(1, 2 * n + 1)}
+    schedule = [(t, s) for t in ("rcvd0", "rcvd1", "kc") if t in indexed for s in slots]
+    for target, s in schedule + [("dlvrd", None)]:
+        know, time = target_formula(target, agent, s, n, params.mode)
+        var = _target_var(target, s)
+        post[time].append(AssignKnowledge(var, know) if kbp
+                          else AssignLocal(var, predicates[target].ground(s)))
 
     phases = []
     for step in range(1, 2 * n + 1):
-        if step <= n:
-            announce = Announce(_parse(f"slot_request == {step}"))
+        s = step - n
+        if s < 1:
+            announce = Announce(_parse_cached(f"slot_request == {step}"))
+        elif kbp:
+            guard = fm.Atom(agent, "slot_request", "==", s)
+            know, _ = target_formula("kc", agent, s, n, params.mode)
+            announce = IfKnowledge(fm.And(guard, know), _parse_cached("msg"), le.LConst(False))
         else:
-            s = step - n
-            if kbp:
-                guard = fm.Atom(agent, "slot_request", "==", s)
-                if params.mode == "speculative":
-                    test = fm.And(guard, fm.Not(fm.Know(agent, conflict_macro(s, n))))
-                else:
-                    test = fm.And(guard, fm.Know(agent, fm.Not(conflict_macro(s, n))))
-                announce = IfKnowledge(test, _parse("msg"), le.LConst(False))
-            else:
-                announce = Announce(_parse(f"slot_request == {s} && kc[{s}] && msg"))
-        post = []
-        if step > n:
-            s = step - n
-            if kbp:
-                post.append(AssignKnowledge(f"rcvd0[{s}]",
-                                            fm.Know(agent, sender_macro(agent, 0, s, n))))
-                post.append(AssignKnowledge(f"rcvd1[{s}]",
-                                            fm.Know(agent, sender_macro(agent, 1, s, n))))
-            else:
-                post.append(AssignLocal(f"rcvd0[{s}]", predicates["rcvd0"].ground(s)))
-                post.append(AssignLocal(f"rcvd1[{s}]", predicates["rcvd1"].ground(s)))
-        # kc[s'] is computed at the pre-transmission point of slot s', i.e. at
-        # the end of step n+s'-1, from everything observed so far
-        if not kbp:
-            s_next = step - n + 1
-            if 1 <= s_next <= n:
-                post.append(AssignLocal(f"kc[{s_next}]", predicates["kc"].ground(s_next)))
-        if step == 2 * n:
-            if kbp:
-                post.append(AssignKnowledge("dlvrd", delivery_condition(agent, n)))
-            else:
-                post.append(AssignLocal("dlvrd", predicates["dlvrd"].ground(None)))
-        phases.append(PhaseBlock(announce, tuple(post)))
+            announce = Announce(_parse_cached(f"slot_request == {s} && kc[{s}] && msg"))
+        phases.append(PhaseBlock(announce, tuple(post[step])))
     return AgentProgram(agent, tuple(locals_), tuple(phases))
 
 
-def _parse(text: str) -> le.LocalExpr:
-    return _parse_cached(text)
+def _target_var(target: str, slot: Optional[int]) -> str:
+    """The local variable a predicate target is assigned to."""
+    return target if slot is None else f"{target}[{slot}]"
 
 
 def delivery_condition(agent: str, slots: int = 3) -> fm.Formula:
@@ -327,19 +310,19 @@ def delivery_condition(agent: str, slots: int = 3) -> fm.Formula:
 # Specifications
 
 
-def pre_transmission_time(slot: int, slots: int = 3) -> int:
-    return slots + slot - 1
+# the equivalence specifications: spec id -> (predicate target, KBP mode)
+_EQUIVALENCES = {"1s": ("kc", "speculative"), "1c": ("kc", "conservative"),
+                 "4a": ("rcvd0", "speculative"), "4b": ("rcvd1", "speculative"),
+                 "5": ("dlvrd", "speculative")}
 
 
 def spec(spec_id: str, agent: str, slot: Optional[int] = None, slots: int = 3):
     """The numbered correctness specifications, with their check times.
 
-    1s/1c — the kc variable tracks the conflict knowledge it stands for,
-    checked at the pre-transmission point of its slot; 2 — a conflict is
-    always detected (end); 3 — an agent detects conflicts on its own slot
-    (end); 4a/4b — the reception variables track sender knowledge (right
-    after the slot's transmission); 5 — the delivery variable tracks nested
-    knowledge of reception (end); 6 — anonymity (end).
+    1s/1c, 4a/4b and 5 — the kc, reception and delivery variables equal the
+    knowledge formulas they stand for (target_formula), at its check time;
+    2 — a conflict is always detected (end); 3 — an agent detects conflicts
+    on its own slot (end); 6 — anonymity (end).
     """
     spec_id = str(spec_id)
     if spec_id not in SPEC_IDS:
@@ -352,14 +335,10 @@ def spec(spec_id: str, agent: str, slot: Optional[int] = None, slots: int = 3):
             raise UsageError(f"spec {spec_id} needs a slot")
         if not 1 <= slot <= slots:
             raise UsageError(f"slot {slot} outside 1..{slots}")
-    if spec_id == "1s":
-        body = fm.Iff(fm.Atom(agent, f"kc[{slot}]", "==", 1),
-                      fm.Not(fm.Know(agent, conflict_macro(slot, slots))))
-        return body, pre_transmission_time(slot, slots)
-    if spec_id == "1c":
-        body = fm.Iff(fm.Atom(agent, f"kc[{slot}]", "==", 1),
-                      fm.Know(agent, fm.Not(conflict_macro(slot, slots))))
-        return body, pre_transmission_time(slot, slots)
+    if spec_id in _EQUIVALENCES:
+        target, mode = _EQUIVALENCES[spec_id]
+        know, time = target_formula(target, agent, slot, slots, mode)
+        return fm.Iff(fm.Atom(agent, _target_var(target, slot), "==", 1), know), time
     if spec_id == "2":
         c = conflict_macro(slot, slots)
         return fm.Implies(c, fm.Know(agent, c)), end
@@ -367,13 +346,6 @@ def spec(spec_id: str, agent: str, slot: Optional[int] = None, slots: int = 3):
         c = conflict_macro(slot, slots)
         own = fm.Atom(agent, "slot_request", "==", slot)
         return fm.Implies(fm.And(c, own), fm.Know(agent, c)), end
-    if spec_id in ("4a", "4b"):
-        x = 0 if spec_id == "4a" else 1
-        atom = fm.Atom(agent, f"rcvd{x}[{slot}]", "==", 1)
-        return fm.Iff(atom, fm.Know(agent, sender_macro(agent, x, slot, slots))), slots + slot
-    if spec_id == "5":
-        atom = fm.Atom(agent, "dlvrd", "==", 1)
-        return fm.Iff(atom, delivery_condition(agent, slots)), end
     # spec 6: either the agent knows everyone else holds the same bit, or it
     # cannot tell any other agent's bit
     first = fm.disj(fm.Know(agent, fm.conj(fm.Atom(j, "msg", "==", x)
@@ -398,16 +370,24 @@ def spec_instances(spec_id: str, slots: int = 3,
     return [(a, s) for a in agents for s in slot_values]
 
 
+@lru_cache(maxsize=1024)
 def target_formula(target: str, agent: str, slot: Optional[int],
                    slots: int = 3, mode: str = "speculative"):
-    """The knowledge formula a predicate target is meant to equal, and its
-    scheduled check time."""
+    """The knowledge formula a predicate target stands for, and the time it is
+    checked at (which is when the program assigns the target's variable).
+
+    kc[s] — the mode's conflict knowledge, at the pre-transmission point of
+    slot s (end of step slots+s-1); rcvd0[s]/rcvd1[s] — knowing that another
+    agent sent 0/1 in slot s, right after its transmission; dlvrd — the
+    delivery condition, at the end.  conflict_free has no program variable.
+    Formulas are immutable, so every program build shares the cached ones.
+    """
     end = 2 * slots
     if target == "kc":
         c = conflict_macro(slot, slots)
         body = fm.Not(fm.Know(agent, c)) if mode == "speculative" \
             else fm.Know(agent, fm.Not(c))
-        return body, pre_transmission_time(slot, slots)
+        return body, slots + slot - 1
     if target == "conflict_free":
         someone = fm.disj(fm.Atom(j, "slot_request", "==", slot) for j in AGENTS)
         body = fm.Know(agent, fm.And(someone, fm.Not(conflict_macro(slot, slots))))
@@ -439,17 +419,22 @@ def referendum_scenario(slots: int = 3) -> Scenario:
 
 def pinned_scenario(slot_request: Sequence[int], msg: Sequence[int],
                     slots: int = 3) -> Scenario:
+    try:
+        slot_request = [operator.index(v) for v in slot_request]
+        msg = [operator.index(v) for v in msg]
+    except TypeError:
+        raise UsageError("pinned slot_request and msg must be lists of integers")
     if len(slot_request) != len(AGENTS) or len(msg) != len(AGENTS):
         raise UsageError("pinned scenario needs one slot_request and one msg per agent")
     for v in slot_request:
-        if not 0 <= int(v) <= slots:
+        if not 0 <= v <= slots:
             raise UsageError(f"pinned slot_request value {v} outside 0..{slots}")
     for v in msg:
-        if int(v) not in (0, 1):
+        if v not in (0, 1):
             raise UsageError(f"pinned msg value {v} must be 0 or 1")
     return Scenario("pinned",
-                    {a: (int(slot_request[i]),) for i, a in enumerate(AGENTS)},
-                    {a: (int(msg[i]),) for i, a in enumerate(AGENTS)})
+                    {a: (slot_request[i],) for i, a in enumerate(AGENTS)},
+                    {a: (msg[i],) for i, a in enumerate(AGENTS)})
 
 
 def custom_scenario(constraint_text: str, slots: int = 3) -> Scenario:
@@ -469,50 +454,60 @@ def scenario_by_name(name: str, slots: int = 3) -> Scenario:
 # File formats
 
 
-def load_scenario_file(path: str):
-    """Scenario file: {"model": "dc3", "mode": ..., "scenario": ...,
-    "pinned": {"slot_request": [..], "msg": [..]}?, "constraint": "..."?}."""
+def _read_json(path: str, what: str):
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"scenario file {path}: {exc}")
+            return json.load(fh)
+        except ValueError as exc:       # malformed JSON, or not text at all
+            raise UsageError(f"{what} {path}: {exc}")
+
+
+def load_scenario_file(path: str):
+    """Scenario file: {"model": "dc3", "mode": ..., "scenario": ...,
+    "pinned": {"slot_request": [..], "msg": [..]}?, "constraint": "..."?}.
+    Returns (scenario, mode)."""
+    data = _read_json(path, "scenario file")
+    try:
+        return _scenario_from_json(data)
+    except UsageError as exc:
+        raise UsageError(f"scenario file {path}: {exc}")
+
+
+def _scenario_from_json(data):
+    if not isinstance(data, dict):
+        raise UsageError("expected a JSON object")
     if data.get("model", "dc3") != "dc3":
-        raise UsageError(f"scenario file {path}: unknown model {data.get('model')!r}")
+        raise UsageError(f"unknown model {data.get('model')!r}")
     mode = data.get("mode", "speculative")
     if mode not in MODES:
-        raise UsageError(f"scenario file {path}: unknown mode {mode!r}")
+        raise UsageError(f"unknown mode {mode!r}")
     kind = data.get("scenario", "unknown")
     if kind == "pinned":
         pinned = data.get("pinned")
-        if not pinned:
-            raise UsageError(f"scenario file {path}: pinned scenario needs 'pinned'")
-        scenario = pinned_scenario(pinned["slot_request"], pinned["msg"])
-    elif kind == "custom":
-        if "constraint" not in data:
-            raise UsageError(f"scenario file {path}: custom scenario needs 'constraint'")
-        scenario = custom_scenario(data["constraint"])
-    else:
-        scenario = scenario_by_name(kind)
-    scenario.mode = mode
-    return scenario, mode
+        if not isinstance(pinned, dict) or not {"slot_request", "msg"} <= pinned.keys():
+            raise UsageError("pinned scenario needs 'pinned' with 'slot_request' and 'msg'")
+        return pinned_scenario(pinned["slot_request"], pinned["msg"]), mode
+    if kind == "custom":
+        if not isinstance(data.get("constraint"), str):
+            raise UsageError("custom scenario needs a 'constraint' string")
+        return custom_scenario(data["constraint"]), mode
+    return scenario_by_name(str(kind)), mode
 
 
 def load_predicates_file(path: str) -> list:
     """Predicate file: ordered list of {"name", "target", "expr"}."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"predicate file {path}: {exc}")
+    data = _read_json(path, "predicate file")
     if not isinstance(data, list) or not data:
         raise UsageError(f"predicate file {path}: expected a non-empty list")
     out = []
     for entry in data:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), str) for k in ("name", "target", "expr"))):
+            raise UsageError(f"predicate file {path}: entries need name/target/expr strings")
         try:
             pred = PredicateDef(entry["name"], entry["target"], entry["expr"])
-        except (KeyError, TypeError):
-            raise UsageError(f"predicate file {path}: entries need name/target/expr")
-        pred.ast  # parse now so errors carry the file context
+            pred.ast  # parse now so errors carry the file context
+        except UsageError as exc:
+            raise UsageError(f"predicate file {path}: {exc}")
         out.append(pred)
     return out

@@ -29,7 +29,7 @@ single-run reference semantics the vectorized loop is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Union
 
@@ -39,6 +39,8 @@ from . import formula as fm
 from . import localexpr as le
 from .model import (GlobalState, InterpretedSystem, ModelError, UsageError,
                     VariableDecl)
+
+ENGINE_MODES = ("naive", "reduced")
 
 # ---------------------------------------------------------------------------
 # Programs
@@ -104,7 +106,6 @@ class Scenario:
     slot_request: dict       # agent -> tuple of admissible values
     msg: dict                # agent -> tuple of admissible values
     constraint: Optional[fm.Formula] = None
-    mode: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,6 @@ class ProtocolModel:
     horizon: int
     programs: dict           # agent -> AgentProgram
     key_edges: tuple         # of (edge name, (agent, agent)) around the ring
-    macros: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def agent_keys(self, agent: str) -> tuple:
         names = [name for name, ends in self.key_edges if agent in ends]
@@ -282,7 +281,7 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
         elif has_knowledge_statements(model.programs[a]):
             raise UsageError(
                 "knowledge statements present; use execute_kbp or plug in concrete predicates")
-    if engine_mode not in ("naive", "reduced"):
+    if engine_mode not in ENGINE_MODES:
         raise UsageError(f"unknown engine mode {engine_mode!r} (use 'naive' or 'reduced')")
     naive = engine_mode == "naive"
     vs = admissible_assignments(model, scenario)

@@ -10,8 +10,9 @@ Syntax:
 
 Precedence: ! (and the prefix X) > && > || > (=>, <=>); binary operators are
 left-associative; parentheses override.  Khat[A](x) is expanded at parse time
-into K[A](x == true) || K[A](x == false).  Macros (conflict, sender, ...) are
-supplied by the model being checked and expand to plain formulas.
+into K[A](x == true) || K[A](x == false).  Macros (conflict, sender, ...)
+expand to plain formulas; the caller passes the macro table in (for the case
+study, dc.dc_macros()), it is not read off a model.
 
 Evaluation follows the standard clauses: an atom reads the valuation, X moves
 one step forward, and K[A](phi) holds at a point iff phi holds at every point
@@ -191,26 +192,25 @@ _TOKEN = re.compile(r"""
 MacroTable = dict  # name -> Callable[[list], Formula]
 
 
-class _Parser:
-    def __init__(self, text: str, model=None, macros: Optional[MacroTable] = None):
-        self.text = text
-        self.model = model
-        self.macros = macros or {}
-        self.tokens = self._tokenize(text)
-        self.i = 0
+class Cursor:
+    """A token stream shared by the formula and local-expression parsers.
 
-    @staticmethod
-    def _tokenize(text):
-        tokens, pos = [], 0
+    `pattern` names its token kinds by group ("ws" is skipped); `what`
+    prefixes every error message.
+    """
+
+    def __init__(self, text: str, pattern: re.Pattern, what: str):
+        self.what = what
+        self.tokens, pos = [], 0
         while pos < len(text):
-            m = _TOKEN.match(text, pos)
+            m = pattern.match(text, pos)
             if not m:
-                raise UsageError(f"formula: bad character {text[pos]!r} at {pos}")
+                raise UsageError(f"{what}: bad character {text[pos]!r} at {pos}")
             pos = m.end()
             if m.lastgroup != "ws":
-                tokens.append((m.lastgroup, m.group(), m.start()))
-        tokens.append(("eof", "", len(text)))
-        return tokens
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        self.tokens.append(("eof", "", len(text)))
+        self.i = 0
 
     def peek(self, ahead=0):
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -223,11 +223,24 @@ class _Parser:
     def expect(self, value):
         kind, text, pos = self.next()
         if text != value:
-            raise UsageError(f"formula: expected {value!r} at {pos}, got {text!r}")
+            raise UsageError(f"{self.what}: expected {value!r} at {pos}, got {text!r}")
 
     def fail(self, msg):
         _, text, pos = self.peek()
-        raise UsageError(f"formula: {msg} at {pos} (near {text!r})")
+        raise UsageError(f"{self.what}: {msg} at {pos} (near {text!r})")
+
+    def int_lit(self):
+        kind, text, pos = self.next()
+        if kind != "int":
+            raise UsageError(f"{self.what}: expected an integer at {pos}")
+        return int(text)
+
+
+class _Parser(Cursor):
+    def __init__(self, text: str, model=None, macros: Optional[MacroTable] = None):
+        super().__init__(text, _TOKEN, "formula")
+        self.model = model
+        self.macros = macros or {}
 
     def parse(self) -> Formula:
         phi = self.parse_arrow()
@@ -364,12 +377,6 @@ class _Parser:
             raise UsageError(f"formula: expected {what} at {pos}")
         return text
 
-    def int_lit(self):
-        kind, text, pos = self.next()
-        if kind != "int":
-            raise UsageError(f"formula: expected an integer at {pos}")
-        return int(text)
-
     def value_lit(self):
         kind, text, pos = self.next()
         if kind == "int":
@@ -401,10 +408,8 @@ class _Parser:
 
 
 def parse_formula(text: str, model=None, macros: Optional[MacroTable] = None) -> Formula:
-    """Parse a formula; `model` enables agent/variable/domain validation and
-    `macros` supplies the model-bound macro expansions."""
-    if macros is None and model is not None:
-        macros = getattr(model, "macros", None)
+    """Parse a formula; `model` (a system) enables agent/variable/domain
+    validation and `macros` supplies the macro expansions."""
     return _Parser(text, model, macros).parse()
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .formula import Cursor
 from .model import ModelError, UsageError
 
 # ---------------------------------------------------------------------------
@@ -97,42 +98,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _tokenize(text: str):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise UsageError(f"local expression: bad character {text[pos]!r} at {pos}")
-        pos = m.end()
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, text, pos = self.next()
-        if text != value:
-            raise UsageError(f"local expression: expected {value!r} at {pos}, got {text!r}")
-
-    def fail(self, msg):
-        _, text, pos = self.peek()
-        raise UsageError(f"local expression: {msg} at {pos} (near {text!r})")
-
+class _Parser(Cursor):
     def parse(self) -> LocalExpr:
         expr = self.parse_or()
         if self.peek()[0] != "eof":
@@ -201,9 +167,9 @@ class _Parser:
         if kind != "name":
             raise UsageError(f"local expression: expected a binder variable at {pos}")
         self.expect("in")
-        lo = self.parse_int()
+        lo = self.int_lit()
         self.expect("..")
-        hi = self.parse_int()
+        hi = self.int_lit()
         except_ = None
         if self.peek()[1] == "except":
             self.next()
@@ -227,21 +193,15 @@ class _Parser:
                     terms.append(self.parse_idx())
                 self.expect("}")
                 return LSlotCmp("in", tuple(terms))
-            lo = self.parse_int()
+            lo = self.int_lit()
             self.expect("..")
-            hi = self.parse_int()
+            hi = self.int_lit()
             except_ = None
             if self.peek()[1] == "except":
                 self.next()
                 except_ = self.parse_idx()
             return LSlotCmp("in", tuple(("const", v) for v in range(lo, hi + 1)), except_)
         self.fail("expected ==, != or in after slot_request")
-
-    def parse_int(self) -> int:
-        kind, text, pos = self.next()
-        if kind != "int":
-            raise UsageError(f"local expression: expected an integer at {pos}")
-        return int(text)
 
     def parse_idx(self) -> Idx:
         kind, text, pos = self.next()
@@ -255,7 +215,7 @@ class _Parser:
             raise UsageError(f"local expression: bad index at {pos}")
         if self.peek()[1] == "+":
             self.next()
-            off = self.parse_int()
+            off = self.int_lit()
             if base[0] == "const":
                 base = ("const", base[1] + off)
             elif base[0] == "slot":
@@ -267,7 +227,7 @@ class _Parser:
 
 def parse_local_expr(text: str) -> LocalExpr:
     """Parse a local expression; raises UsageError with a position on bad input."""
-    return _Parser(text).parse()
+    return _Parser(text, _TOKEN, "local expression").parse()
 
 # ---------------------------------------------------------------------------
 # Evaluation

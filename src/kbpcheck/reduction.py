@@ -26,14 +26,6 @@ from . import formula as fm
 from .engine import (ProtocolModel, Scenario, generate_runs, reduced_system)
 from .model import InterpretedSystem, UsageError
 
-ENGINE_MODES = ("naive", "reduced")
-
-
-def check_engine_mode(mode: str) -> str:
-    if mode not in ENGINE_MODES:
-        raise UsageError(f"unknown engine mode {mode!r} (use 'naive' or 'reduced')")
-    return mode
-
 
 def invariant_history(system: InterpretedSystem, run_or_assignment, agent: str,
                       time: int) -> tuple:

@@ -189,6 +189,60 @@ def test_scenario_file_flow(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (json.dumps([{"scenario": "unknown"}]), "expected a JSON object"),
+    (json.dumps({"scenario": "pinned", "pinned": {"msg": [1, 1, 1]}}), "'slot_request'"),
+    (json.dumps({"scenario": "pinned",
+                 "pinned": {"slot_request": [2, "two", 0], "msg": [1, 1, 1]}}),
+     "lists of integers"),
+    (json.dumps({"scenario": "custom", "constraint": ["C1.slot_request == 2"]}),
+     "'constraint' string"),
+    (json.dumps({"scenario": ["pinned"]}), "unknown scenario"),
+    (b"\xff\xfe{}", "can't decode"),
+], ids=["list", "pinned-without-slot-request", "non-integer-pinned",
+        "non-string-constraint", "list-scenario-name", "not-utf8"])
+def test_malformed_scenario_file_exit_2(capsys, tmp_path, content, message):
+    path = tmp_path / "scenario.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "check", "--spec", "3", "--scenario", f"file:{path}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scenario file {path}: ")
+    assert message in err
+
+
+def test_scenario_file_is_a_directory_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", "--spec", "3", "--scenario", f"file:{tmp_path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_predicate_expr_not_a_string_exit_2(capsys, tmp_path):
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps([{"name": "cf", "target": "conflict_free",
+                                 "expr": ["rr[s]"]}]))
+    code, out, err = run_cli(capsys, "refine", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: predicate file {path}: ")
+
+
+def test_predicate_parse_error_names_the_file(capsys, tmp_path):
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps([{"name": "cf", "target": "conflict_free",
+                                 "expr": "rr[s] &&"}]))
+    code, _, err = run_cli(capsys, "refine", "--file", str(path))
+    assert code == 2
+    assert err.startswith(f"error: predicate file {path}: local expression: ")
+
+
+def test_assign_with_an_empty_entry_exit_2(capsys):
+    code, out, err = run_cli(capsys, "trace", "--assign", "slot_request=[1,,2];msg=[1,0,1]")
+    assert code == 2 and out == ""
+    assert "bad --assign" in err
+
+
 def test_oracle_small(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--random", "5", "--format", "json")
     assert code == 0

@@ -7,6 +7,7 @@ import brute
 from conftest import run_of
 from kbpcheck import dc
 from kbpcheck import formula as fm
+from kbpcheck.engine import AssignKnowledge, AssignLocal, IfKnowledge
 from kbpcheck.model import Point, UsageError
 
 
@@ -219,3 +220,67 @@ def test_target_formulas():
     assert t == 6
     with pytest.raises(UsageError):
         dc.target_formula("bogus", "C1", 1)
+
+
+def _target_of(var):
+    """kc[2] -> ("kc", 2); dlvrd -> ("dlvrd", None)."""
+    base, _, rest = var.partition("[")
+    return base, (int(rest[:-1]) if rest else None)
+
+
+def _expected_check_time(target, slot, slots):
+    """kc[s] before slot s's transmission, rcvd right after it, dlvrd at the end."""
+    if target == "dlvrd":
+        return 2 * slots
+    return slots + slot - 1 if target == "kc" else slots + slot
+
+
+@pytest.mark.parametrize("slots", [2, 3, 4])
+@pytest.mark.parametrize("mode", dc.MODES)
+def test_programs_assign_targets_at_their_check_time(slots, mode):
+    params = dc.DcParams(slots=slots, mode=mode)
+    kbp, impl = dc.build_cdc(params, kbp=True), dc.build_cdc(params)
+    indexed = [f"{t}[{s}]" for t in ("kc", "rcvd0", "rcvd1") for s in range(1, slots + 1)]
+    for agent in dc.AGENTS:
+        # the KBP assigns each rcvd/dlvrd variable its knowledge formula
+        assigned = {}
+        for step, block in enumerate(kbp.programs[agent].phases, start=1):
+            for stmt in block.post:
+                assert isinstance(stmt, AssignKnowledge)
+                target, slot = _target_of(stmt.var)
+                assert _expected_check_time(target, slot, slots) == step
+                assert dc.target_formula(target, agent, slot, slots, mode) == \
+                    (stmt.formula, step)
+                assigned[stmt.var] = step
+            if step > slots:
+                # the transmission guard tests kc's formula, read at step - 1
+                s = step - slots
+                know, t = dc.target_formula("kc", agent, s, slots, mode)
+                assert t == step - 1
+                assert isinstance(block.announce, IfKnowledge)
+                assert block.announce.test == \
+                    fm.And(fm.Atom(agent, "slot_request", "==", s), know)
+        assert sorted(assigned) == sorted(
+            [v for v in indexed if not v.startswith("kc")] + ["dlvrd"])
+        # the implementation assigns every variable, kc included, at that step
+        program = impl.programs[agent]
+        for var in indexed + ["dlvrd"]:
+            target, slot = _target_of(var)
+            _, t = dc.target_formula(target, agent, slot, slots, mode)
+            assert t == _expected_check_time(target, slot, slots)
+            assert program.assignment_step(var) == t
+        assert all(isinstance(stmt, AssignLocal)
+                   for block in program.phases for stmt in block.post)
+
+
+@pytest.mark.parametrize("slots", [2, 3, 4])
+def test_equivalence_specs_follow_target_formula(slots):
+    specs = {"1s": ("kc", "speculative"), "1c": ("kc", "conservative"),
+             "4a": ("rcvd0", "speculative"), "4b": ("rcvd1", "speculative"),
+             "5": ("dlvrd", "speculative")}
+    for sid, (target, mode) in specs.items():
+        for agent, slot in dc.spec_instances(sid, slots):
+            know, t = dc.target_formula(target, agent, slot, slots, mode)
+            var = target if slot is None else f"{target}[{slot}]"
+            assert dc.spec(sid, agent, slot, slots) == \
+                (fm.Iff(fm.Atom(agent, var, "==", 1), know), t)

@@ -4,16 +4,14 @@ import pytest
 import brute
 from kbpcheck import dc
 from kbpcheck import formula as fm
-from kbpcheck.engine import reduced_system
+from kbpcheck.engine import generate_runs, reduced_system
 from kbpcheck.model import UsageError
-from kbpcheck.reduction import (check_engine_mode, engines_agree,
-                                invariant_history, random_formulas)
+from kbpcheck.reduction import engines_agree, invariant_history, random_formulas
 
 
-def test_engine_mode_validation():
-    assert check_engine_mode("naive") == "naive"
-    with pytest.raises(UsageError):
-        check_engine_mode("symbolic")
+def test_engine_mode_validation(model2, scen2):
+    with pytest.raises(UsageError, match="unknown engine mode 'symbolic'"):
+        generate_runs(model2, scen2, "symbolic")
 
 
 def test_invariant_history_figure_pair(sys_unknown):
