@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(entry=cmd_synthesize)
 
     p = sub.add_parser("trace", help="render the contribution table of a pinned run")
-    _common(p)
+    _run_options(p)
     p.set_defaults(entry=cmd_trace)
 
     p = sub.add_parser("oracle", help="naive/reduced engine agreement on a small model")
@@ -95,9 +95,14 @@ def _common(p):
     p.add_argument("--model", default="dc3", choices=("dc3",))
     p.add_argument("--scenario", default="unknown",
                    help="unknown | referendum | pinned | file:PATH (default unknown)")
+    p.add_argument("--engine", choices=ENGINE_MODES, default="reduced")
+    _run_options(p)
+
+
+def _run_options(p):
+    """The options of a single run: all that trace takes."""
     p.add_argument("--mode", choices=dc.MODES, default=None,
                    help="speculative (default) or conservative")
-    p.add_argument("--engine", choices=ENGINE_MODES, default="reduced")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--assign", help='pinned vectors, "slot_request=[..];msg=[..]"',
                    dest="assign", default=None)

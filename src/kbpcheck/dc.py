@@ -260,9 +260,8 @@ def _agent_program(agent: str, params: DcParams, predicates: Optional[dict],
     KBP tests kc's formula inline in its transmission guard instead."""
     n, slots = params.slots, range(1, params.slots + 1)
     indexed = ("rcvd0", "rcvd1") if kbp else ("kc", "rcvd0", "rcvd1")
-    locals_ = [("slot_request", "free"), ("msg", "free")]
-    locals_ += [(_target_var(t, s), False) for t in indexed for s in slots]
-    locals_.append(("dlvrd", False))
+    locals_ = ["slot_request", "msg"] + [_target_var(t, s) for t in indexed for s in slots]
+    locals_.append("dlvrd")
 
     # within a step: rcvd0[s], rcvd1[s], kc[s+1], then dlvrd
     post = {step: [] for step in range(1, 2 * n + 1)}
@@ -361,12 +360,14 @@ def spec_instances(spec_id: str, slots: int = 3,
     """All (agent, slot) instances a spec id ranges over, optionally narrowed."""
     if spec_id not in SPEC_IDS:
         raise UsageError(f"unknown spec {spec_id!r} (known: {', '.join(SPEC_IDS)})")
-    agents = [agent] if agent else list(AGENTS)
-    if agent and agent not in AGENTS:
+    if agent is not None and agent not in AGENTS:
         raise UsageError(f"unknown agent {agent!r}")
+    if slot is not None and not 1 <= slot <= slots:
+        raise UsageError(f"slot {slot} outside 1..{slots}")
+    agents = list(AGENTS) if agent is None else [agent]
     if spec_id in ("5", "6"):
         return [(a, None) for a in agents]
-    slot_values = [slot] if slot else list(range(1, slots + 1))
+    slot_values = list(range(1, slots + 1)) if slot is None else [slot]
     return [(a, s) for a in agents for s in slot_values]
 
 

@@ -9,7 +9,7 @@ xor of the agents' contribution bits.
 
 One lock-step loop builds every run set over all runs at once: announce, take
 rr as the xor of the public announcements, latch it, run the post-step
-assignments, log the knowledge tests.  Two observation models plug into it:
+assignments.  Two observation models plug into it:
 
   * naive   — one run per (initial assignment x key schedule), exhaustively;
               agent i publicly says contribution xor both of its keys.  The
@@ -23,8 +23,10 @@ generate_runs builds knowledge-free programs on either model, reduced_system
 exposes the oracle's deliberately coarse variant, and execute_kbp runs
 knowledge-based programs on the reduced model time-inductively: the run
 prefixes up to step t determine each agent's partition at t, which resolves
-every present-time knowledge test at t.  execute_step is the scalar
-single-run reference semantics the vectorized loop is tested against.
+every present-time knowledge test at t; verify_kbp_fixpoint re-checks them
+in a built run set of either engine.  Every program local but slot_request
+and msg reads false until the step that assigns it.  execute_step is the
+scalar single-run reference semantics the vectorized loop is tested against.
 """
 
 from __future__ import annotations
@@ -84,11 +86,8 @@ class PhaseBlock:
 @dataclass(frozen=True)
 class AgentProgram:
     agent: str
-    locals_: tuple          # of (name, "free" | initial value)
+    locals_: tuple          # of names: slot_request and msg, then the latched ones
     phases: tuple           # of PhaseBlock, one per step 1..T
-
-    def local_names(self):
-        return tuple(name for name, _ in self.locals_)
 
     def assignment_step(self, var: str) -> Optional[int]:
         for step, block in enumerate(self.phases, start=1):
@@ -219,7 +218,7 @@ def _declare(model: ProtocolModel, engine_mode: str, coarse: bool):
     everyone = frozenset(agents)
     decls = []
     for a in agents:
-        for name, _ in model.programs[a].locals_:
+        for name in model.programs[a].locals_:
             domain = tuple(range(model.slots + 1)) if name == "slot_request" else (False, True)
             decls.append(VariableDecl(f"{a}.{name}", domain, a, frozenset({a})))
     for t in range(1, model.horizon + 1):
@@ -244,17 +243,15 @@ def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: list,
     latched = {}
     for i, a in enumerate(model.agents):
         program = model.programs[a]
-        for name, init in program.locals_:
+        for name in program.locals_:
             flat = f"{a}.{name}"
             if name in ("slot_request", "msg"):
                 k = 0 if name == "slot_request" else 1
                 col = np.array([int(v[k][i]) for v in vs], dtype=np.uint8).repeat(repeat)
                 system.set_const(flat, col)
                 continue
-            if init == "free":
-                raise ModelError(f"history variable {flat!r} cannot be 'free'")
             step = program.assignment_step(name)
-            arr = np.full(system.n_runs, 1 if init else 0, dtype=np.uint8)
+            arr = np.zeros(system.n_runs, dtype=np.uint8)
             if step is None:
                 system.set_const(flat, arr)
             else:
@@ -306,7 +303,6 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
         system.set_step(name, arr)
         return arr
 
-    knowledge_log = []
     if naive:
         # key schedule kappa = run % n_keys; bit (step, edge) of kappa, step-1/edge-0
         # least significant; runs are ordered by assignment first, then schedule
@@ -330,7 +326,6 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
             system.excluded_atoms[name] = (
                 f"{name!r} mentions key/announcement material, which the reduced engine "
                 f"quotients out; rerun with the naive engine")
-        system.meta["knowledge_log"] = knowledge_log
 
         def publish(step):
             rr = np.bitwise_xor.reduce([contrib[a][step] for a in model.agents])
@@ -346,15 +341,11 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
             contrib[a][step] = _announce(model, system, a, step, evaluator)
         latched[f"rr[{step}]"][:] = publish(step)
         for a in model.agents:
-            block = model.programs[a].phases[step - 1]
-            if isinstance(block.announce, IfKnowledge):
-                knowledge_log.append((a, "announce-test", block.announce.test, step - 1))
-            for stmt in block.post:
+            for stmt in model.programs[a].phases[step - 1].post:
                 if isinstance(stmt, AssignLocal):
                     value = _scalarize(le.eval_expr(stmt.expr, local_view(system, a, step)), n)
                 else:
                     value = evaluator.vector(stmt.formula, step)
-                    knowledge_log.append((a, stmt.var, stmt.formula, step))
                 latched[f"{a}.{stmt.var}"][:] = value
     system.meta["contrib"] = contrib
     return system.finalize()
@@ -388,17 +379,9 @@ def execute_step(model: ProtocolModel, state: GlobalState, key_bits: dict,
     if state.time != step - 1:
         raise UsageError(f"state is at time {state.time}, expected {step - 1}")
     valuation = dict(state.valuation)
-    latch = {}
-    for a in model.agents:
-        program = model.programs[a]
-        latch[a] = {f"rr[{t}]": t for t in range(1, model.horizon + 1)}
-        for name, _ in program.locals_:
-            assigned = program.assignment_step(name)
-            if assigned is not None:
-                latch[a][f"{a}.{name}"] = assigned
 
     def view(agent, time):
-        return le.HistoryView.for_agent(agent, time, valuation, latch[agent])
+        return le.HistoryView(agent, time, valuation.__getitem__)
 
     saids = {}
     for a in model.agents:
@@ -431,14 +414,13 @@ def run_single(model: ProtocolModel, sr: Sequence[int], msg: Sequence[int],
     """The full state sequence of one run under an explicit key schedule."""
     valuation = {}
     for i, a in enumerate(model.agents):
-        program = model.programs[a]
-        for name, init in program.locals_:
+        for name in model.programs[a].locals_:
             if name == "slot_request":
                 valuation[f"{a}.{name}"] = int(sr[i])
             elif name == "msg":
                 valuation[f"{a}.{name}"] = bool(msg[i])
             else:
-                valuation[f"{a}.{name}"] = bool(init) if init != "free" else False
+                valuation[f"{a}.{name}"] = False
         valuation[f"said[{model.agent_index(a)}]"] = False
     for name, _ in model.key_edges:
         valuation[name] = False
@@ -456,8 +438,7 @@ def eval_local_expr(expr, observation_history) -> bool:
     if isinstance(expr, str):
         expr = le.parse_local_expr(expr)
     h = observation_history
-    view = le.HistoryView.for_agent(h.agent, h.time, dict(zip(h.names, h.records[-1])),
-                                    h.latch_times)
+    view = le.HistoryView(h.agent, h.time, dict(zip(h.names, h.records[-1])).__getitem__)
     return bool(le.eval_expr(expr, view))
 
 # ---------------------------------------------------------------------------
@@ -485,27 +466,36 @@ def rr_vector(system: InterpretedSystem, run: int) -> list:
 
 
 def verify_kbp_fixpoint(system: InterpretedSystem, model: ProtocolModel) -> bool:
-    """Re-evaluate every knowledge test inside the generated system and check
-    it reproduces the decisions taken during construction."""
-    log = system.meta.get("knowledge_log", [])
+    """Re-evaluate every knowledge statement of the program inside the built
+    system, step by step, and check that it gives back the contributions and
+    latched values the system was built with."""
     evaluator = fm.Evaluator(system)
-    for agent, var, phi, time in log:
-        if var == "announce-test":
-            expect = _announce(model, system, agent, time + 1, evaluator)
-            actual = system.meta["contrib"][agent][time + 1].astype(bool)
-        else:
-            expect = evaluator.vector(phi, time)
-            actual = system.column(f"{agent}.{var}", time).astype(bool)
-        if not np.array_equal(expect, actual):
-            return False
+    contrib = system.meta["contrib"]
+    for step in range(1, model.horizon + 1):
+        for a in model.agents:
+            block = model.programs[a].phases[step - 1]
+            if isinstance(block.announce, IfKnowledge) and not np.array_equal(
+                    _announce(model, system, a, step, evaluator),
+                    contrib[a][step].astype(bool)):
+                return False
+            for stmt in block.post:
+                if isinstance(stmt, AssignKnowledge) and not np.array_equal(
+                        evaluator.vector(stmt.formula, step),
+                        system.column(f"{a}.{stmt.var}", step).astype(bool)):
+                    return False
     return True
 
 
 def local_view(system, agent, time) -> le.HistoryView:
-    """What the agent's own code can read at `time`, as run vectors."""
-    names = [n for n in system.observable_names(agent) if n not in system.excluded_atoms]
-    return le.HistoryView.for_agent(agent, time, {n: system.column(n, time) for n in names},
-                                    {n: system.latch_time(n) for n in names})
+    """What the agent's own code can read at `time`, as run vectors; columns
+    are read when an expression asks for them."""
+    observable = system.observable_names(agent)
+
+    def read(name):
+        if name not in observable:
+            raise KeyError(name)
+        return system.column(name, time)
+    return le.HistoryView(agent, time, read)
 
 
 def _scalarize(value, n):

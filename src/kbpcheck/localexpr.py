@@ -21,8 +21,9 @@ as  any t in 1..3 except s: (slot_request == t && !rr[t]).
 
 Expressions evaluate either on a single observation history (plain bools) or
 on whole columns of runs at once (numpy vectors); the evaluator is shared.
-Reading rr[u] before step u has happened is a model error; kc/rcvd/dlvrd read
-as their declared initial value (false) before assignment.
+Reading rr[u] before step u has happened is a model error.  kc/rcvd/dlvrd read
+false until the step that assigns them; that comes from the storage they are
+read from, and there is no declared initial value.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ LocalExpr = Union[LConst, LRef, LSlotCmp, LNot, LBin, LAny]
 
 _INDEXED = {"rr", "kc", "rcvd0", "rcvd1"}
 _BARE = {"msg", "dlvrd"}
+_UNINDEXED = _BARE | {"slot_request"}
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -234,60 +236,32 @@ def parse_local_expr(text: str) -> LocalExpr:
 
 
 class HistoryView:
-    """Adapter from named history variables to values (scalars or run vectors).
+    """One agent's history at `time`, read on demand.
 
-    columns maps the agent-local base names (rr[2], slot_request, msg, ...) to
-    values; latch maps latched names to the step at which they are assigned.
-    Reads of rr entries beyond `time` raise ModelError; other latched names
-    read as False before their assignment step.
+    read maps flat names (rr[u], or the agent's own "C1.kc[2]") to values,
+    scalars or run vectors, and raises KeyError for a name it does not hold.
+    Latched variables already read false before their step wherever they are
+    stored, so the one time rule left here is that rr[u] cannot be read
+    before step u.  Only the local-expression vocabulary can be read.
     """
 
-    def __init__(self, columns: dict, time: int, latch: Optional[dict] = None,
-                 where: str = ""):
-        self.columns = columns
+    def __init__(self, agent: str, time: int, read):
+        self.agent = agent
         self.time = time
-        self.latch = latch or {}
-        self.where = where
+        self.read = read
 
     def ref(self, base: str, index: Optional[int]):
         name = base if index is None else f"{base}[{index}]"
-        if name not in self.columns:
-            raise ModelError(f"unknown history variable {name!r}{self.where}")
-        assigned_at = self.latch.get(name, 0)
-        if assigned_at > self.time:
-            if base == "rr":
-                raise ModelError(
-                    f"unassigned history variable {name!r} read at time {self.time}{self.where}")
-            value = self.columns[name]
-            return np.zeros_like(value) if isinstance(value, np.ndarray) else False
-        return self.columns[name]
-
-    def slot_request(self):
-        return self.ref("slot_request", None)
-
-    @classmethod
-    def for_agent(cls, agent: str, time: int, values: dict,
-                  latch: dict) -> "HistoryView":
-        """The agent's view of flat-named values (own names are prefixed
-        "agent."): the prefix is stripped and only the local-expression
-        vocabulary is kept.  latch maps flat names to their assignment step."""
-        prefix = f"{agent}."
-        columns, steps = {}, {}
-        for name, value in values.items():
-            local = name[len(prefix):] if name.startswith(prefix) else name
-            if _readable(local):
-                columns[local] = value
-                if name in latch:
-                    steps[local] = latch[name]
-        return cls(columns, time, steps, where=f" (agent {agent})")
-
-
-def _readable(local: str) -> bool:
-    """Whether an agent-local name belongs to the local-expression vocabulary."""
-    base, bracket, _ = local.partition("[")
-    if bracket:
-        return base in _INDEXED
-    return local in _BARE or local == "slot_request"
+        try:
+            if base not in (_UNINDEXED if index is None else _INDEXED):
+                raise KeyError(name)
+            value = self.read(name if base == "rr" else f"{self.agent}.{name}")
+        except KeyError:
+            raise ModelError(f"unknown history variable {name!r} (agent {self.agent})") from None
+        if base == "rr" and index > self.time:
+            raise ModelError(f"unassigned history variable {name!r} read at time "
+                             f"{self.time} (agent {self.agent})")
+        return value
 
 
 def _resolve(idx: Optional[Idx], slot: Optional[int], bindings: dict) -> Optional[int]:
@@ -315,7 +289,7 @@ def eval_expr(expr: LocalExpr, view: HistoryView, slot: Optional[int] = None,
         value = view.ref(expr.base, _resolve(expr.index, slot, bindings))
         return value.astype(bool) if isinstance(value, np.ndarray) else bool(value)
     if isinstance(expr, LSlotCmp):
-        sr = view.slot_request()
+        sr = view.ref("slot_request", None)
         values = [_resolve(t, slot, bindings) for t in expr.terms]
         if expr.except_ is not None:
             excluded = _resolve(expr.except_, slot, bindings)

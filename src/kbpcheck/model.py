@@ -84,19 +84,16 @@ class ObservationHistory:
     """An agent's perfect-recall local state: one record per time 0..t.
 
     Records hold the values of every variable observable by the agent, in the
-    fixed order given by `names`.  latch_times maps latched variables to the
-    step at which they first receive a program-assigned value (used by the
-    local-expression evaluator to reject reads of unassigned history).
+    fixed order given by `names`, as the system stores them: a latched
+    variable reads false in the records before the step that assigns it.
     """
 
-    __slots__ = ("agent", "names", "records", "latch_times")
+    __slots__ = ("agent", "names", "records")
 
-    def __init__(self, agent: str, names: tuple, records: tuple,
-                 latch_times: Optional[Mapping[str, int]] = None):
+    def __init__(self, agent: str, names: tuple, records: tuple):
         self.agent = agent
         self.names = names
         self.records = records
-        self.latch_times = dict(latch_times or {})
 
     @property
     def time(self) -> int:
@@ -111,9 +108,6 @@ class ObservationHistory:
         except ValueError:
             raise UsageError(f"{name!r} is not observable by {self.agent}") from None
         return self.records[t][i]
-
-    def fingerprint(self) -> tuple:
-        return (self.agent, self.records)
 
     def __eq__(self, other):
         return (isinstance(other, ObservationHistory)
@@ -156,21 +150,21 @@ class _Trace:
     fingerprints (equivalence with full-history grouping is property-tested).
     """
 
-    __slots__ = ("kind", "values", "latch_time")
+    __slots__ = ("kind", "values", "latch_time", "before")
 
     def __init__(self, kind: str, values: np.ndarray, latch_time: int = 0):
         self.kind = kind
         self.values = values
         self.latch_time = latch_time
+        # what a latched trace reads before its step: one read-only zero vector
+        self.before = np.broadcast_to(np.uint8(0), values.shape) if kind == "latched" else None
 
     def at(self, t: int) -> np.ndarray:
         if self.kind == "const":
             return self.values
         if self.kind == "step":
             return self.values[t]
-        if t >= self.latch_time:
-            return self.values
-        return np.zeros_like(self.values)
+        return self.values if t >= self.latch_time else self.before
 
 
 class InterpretedSystem:
@@ -258,10 +252,6 @@ class InterpretedSystem:
             raise UsageError(f"time {time} outside 0..{self.horizon}")
         return trace.at(time)
 
-    def latch_time(self, name: str) -> int:
-        trace = self._traces[name]
-        return trace.latch_time if trace.kind == "latched" else 0
-
     def observable_names(self, agent: str) -> tuple:
         self._check_agent(agent)
         return self._obs_names[agent]
@@ -319,22 +309,21 @@ class InterpretedSystem:
 
     @staticmethod
     def _group(cols, bits, prev):
-        """Group runs by the tuple (prev label, *cols) using injective packing."""
-        total = sum(bits) + (0 if prev is None else max(1, int(prev[1] - 1).bit_length()))
+        """Group runs by the tuple (prev label, *cols): the columns are packed
+        into one int64 key, which is compressed to dense labels whenever the
+        next column would overflow 63 bits."""
         if prev is None and not cols:
             raise ModelError("cannot group on an empty record")
-        if total <= 63:
-            acc = None if prev is None else prev[0].astype(np.int64)
-            for col, b in zip(cols, bits):
-                col = col.astype(np.int64)
-                acc = col if acc is None else (acc << b) | col
-            _, first, inverse = np.unique(acc, return_index=True, return_inverse=True)
-        else:
-            stacked = [] if prev is None else [prev[0].astype(np.int64)]
-            stacked += [c.astype(np.int64) for c in cols]
-            matrix = np.stack(stacked, axis=1)
-            _, first, inverse = np.unique(matrix, axis=0, return_index=True,
-                                          return_inverse=True)
+        acc, width = (None, 0) if prev is None else \
+            (prev[0].astype(np.int64), max(1, int(prev[1] - 1).bit_length()))
+        for col, b in zip(cols, bits):
+            if width + b > 63:
+                keys, acc = np.unique(acc, return_inverse=True)
+                width = max(1, (len(keys) - 1).bit_length())
+            col = col.astype(np.int64)
+            acc = col if acc is None else (acc << b) | col
+            width += b
+        _, first, inverse = np.unique(acc, return_index=True, return_inverse=True)
         # renumber so block ids follow least-member-run order
         order = np.argsort(first, kind="stable")
         remap = np.empty_like(order)
@@ -368,9 +357,7 @@ def observation_of(system: InterpretedSystem, point: Point, agent: str) -> Obser
             dom = system.variables[name].domain
             rec.append(bool(raw) if isinstance(dom[0], bool) else raw)
         records.append(tuple(rec))
-    latch = {n: system.latch_time(n) for n in names
-             if system._traces[n].kind == "latched"}
-    return ObservationHistory(agent, names, tuple(records), latch)
+    return ObservationHistory(agent, names, tuple(records))
 
 
 def points_at(system: InterpretedSystem, time: int) -> list:

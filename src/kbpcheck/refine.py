@@ -332,7 +332,7 @@ def synthesize_predicate(system: InterpretedSystem, know_formula: fm.Formula,
             raise UsageError(
                 "formula is not constant on the agent's observation classes; "
                 "it cannot be realized as a local predicate")
-    slots = system.meta.get("slots", 3)
+    slots = system.meta["slots"]
     pred = SynthesizedPredicate(agent, time, slots, mapping,
                                 formula=fm.fmt(know_formula))
     _attach_sop(pred)

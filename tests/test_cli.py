@@ -54,6 +54,15 @@ def test_check_narrow_to_agent_slot(capsys):
     assert out.strip().splitlines()[0] == "spec 4b agent C2 slot 3 time 6: HOLDS"
 
 
+@pytest.mark.parametrize("narrowing", [("--slot", "0"), ("--slot", "4"), ("--agent", "")])
+@pytest.mark.parametrize("spec", ["1s", "all"])
+def test_check_rejects_narrowing_to_nothing(capsys, spec, narrowing):
+    code, out, err = run_cli(capsys, "check", "--spec", spec, *narrowing)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_check_json_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "check", "--spec", "2", "--format", "json")
     _, out2, _ = run_cli(capsys, "check", "--spec", "2", "--format", "json")
@@ -164,6 +173,14 @@ def test_trace_golden(capsys):
                            "slot_request=[0,0,0];msg=[0,0,0]")
     assert out == (GOLDEN / "trace_silent.txt").read_text()
     assert "rr       | 0 0 0 | 0 0 0" in out
+
+
+@pytest.mark.parametrize("flag", [("--engine", "naive"), ("--scenario", "referendum"),
+                                  ("--model", "dc3")])
+def test_trace_takes_only_the_flags_it_reads(capsys, flag):
+    code, out, _ = run_cli(capsys, "trace", "--assign", "slot_request=[2,2,2];msg=[1,1,1]", *flag)
+    assert code == 2
+    assert out == ""
 
 
 def test_trace_bad_assign(capsys):

@@ -71,10 +71,10 @@ def test_kc_guess_reading():
     pred = dc.builtin_predicate("kc_guess")
     hist = {"slot_request": 2, "msg": True}
     hist.update({f"rr[{u}]": False for u in range(1, 7)})
-    v = le.HistoryView(hist, 3, {f"rr[{u}]": u for u in range(1, 7)})
+    v = le.HistoryView("C1", 3, lambda name: hist[name.removeprefix("C1.")])
     assert le.eval_expr(pred.ast, v, slot=2) is False
     hist2 = dict(hist, **{"rr[2]": True})
-    v2 = le.HistoryView(hist2, 3, {f"rr[{u}]": u for u in range(1, 7)})
+    v2 = le.HistoryView("C1", 3, lambda name: hist2[name.removeprefix("C1.")])
     assert le.eval_expr(pred.ast, v2, slot=2) is True
     assert le.eval_expr(pred.ast, v, slot=1) is True     # not my slot
 
@@ -84,7 +84,7 @@ def test_dlvrd_trivial_when_silent():
     pred = dc.builtin_predicate("dlvrd_final")
     hist = {"slot_request": 0, "msg": False}
     hist.update({f"rr[{u}]": False for u in range(1, 7)})
-    v = le.HistoryView(hist, 6, {f"rr[{u}]": u for u in range(1, 7)})
+    v = le.HistoryView("C1", 6, lambda name: hist[name.removeprefix("C1.")])
     assert le.eval_expr(pred.ast, v) is True
 
 

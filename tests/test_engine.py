@@ -5,7 +5,7 @@ import pytest
 
 import brute
 from conftest import run_of
-from kbpcheck import dc
+from kbpcheck import dc, engine
 from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
 from kbpcheck.engine import (KeySchedule, contribution_matrix, eval_local_expr,
@@ -162,6 +162,31 @@ def test_kbp_fixpoint(kbp_systems):
     for mode in ("speculative", "conservative"):
         model, system = kbp_systems[mode]
         assert verify_kbp_fixpoint(system, model)
+
+
+@pytest.mark.parametrize("mode", dc.MODES)
+def test_kbp_fixpoint_catches_a_flipped_bit_on_the_naive_engine(mode):
+    model = dc.build_cdc(dc.DcParams(slots=2, mode=mode), kbp=True)
+    scenario = dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2)
+    system = engine._build(model, scenario, "naive", knowledge=True)
+    assert verify_kbp_fixpoint(system, model)
+    system.column("C1.rcvd1[1]", system.horizon)[0] ^= 1
+    assert not verify_kbp_fixpoint(system, model)
+
+
+@pytest.mark.parametrize("mode", dc.MODES)
+def test_kbp_fixpoint_catches_flipped_knowledge_choices(mode):
+    from kbpcheck.engine import IfKnowledge
+    model = dc.build_cdc(dc.DcParams(slots=2, mode=mode), kbp=True)
+    scenario = dc.unknown_scenario(slots=2)
+    guarded = model.slots + 1                   # transmission step of slot 1
+    assert isinstance(model.programs["C1"].phases[guarded - 1].announce, IfKnowledge)
+    system = execute_kbp(model, scenario)
+    system.meta["contrib"]["C1"][guarded][0] ^= 1
+    assert not verify_kbp_fixpoint(system, model)
+    system = execute_kbp(model, scenario)
+    system.column("C1.rcvd1[1]", system.horizon)[0] ^= 1
+    assert not verify_kbp_fixpoint(system, model)
 
 
 def test_kbp_with_trivial_test_behaves_as_constant_true(scen_unknown):

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbpcheck import localexpr as le
+from kbpcheck.engine import local_view
 from kbpcheck.model import ModelError, UsageError
+
+
+def history(values, time):
+    """C1's view of a dict keyed by its local names (rr[u], kc[s], msg, ...)."""
+    return le.HistoryView("C1", time, lambda name: values[name.removeprefix("C1.")])
 
 
 def view(time=6, **values):
@@ -12,9 +18,7 @@ def view(time=6, **values):
     defaults.update({f"rr[{u}]": False for u in range(1, 7)})
     defaults.update({f"kc[{s}]": False for s in (1, 2, 3)})
     defaults.update(values)
-    latch = {f"rr[{u}]": u for u in range(1, 7)}
-    latch.update({f"kc[{s}]": s + 2 for s in (1, 2, 3)})
-    return le.HistoryView(defaults, time, latch)
+    return history(defaults, time)
 
 
 def ev(text, v=None, slot=None):
@@ -65,11 +69,19 @@ def test_reading_future_round_result_is_model_error():
         ev("rr[s+3]", v, slot=2)
 
 
-def test_unassigned_bookkeeping_reads_as_false():
-    v = view(time=2, **{"kc[1]": True})   # kc[1] latches at time 3
-    assert ev("kc[1]", v) is False
-    v5 = view(time=5, **{"kc[1]": True})
-    assert ev("kc[1]", v5) is True
+def test_unassigned_bookkeeping_reads_as_false(model3, sys_unknown):
+    # the run set stores a latched local as false before the step that
+    # assigns it; the view itself only refuses rr[u] before step u
+    for agent in sys_unknown.agents:
+        program = model3.programs[agent]
+        for name in [f"{b}[{s}]" for b in ("kc", "rcvd0") for s in (1, 2, 3)] + ["dlvrd"]:
+            step = program.assignment_step(name)
+            for t in range(step):
+                assert not ev(name, local_view(sys_unknown, agent, t)).any()
+            assert ev(name, local_view(sys_unknown, agent, sys_unknown.horizon)).any()
+        for u in range(1, sys_unknown.horizon + 1):
+            with pytest.raises(ModelError):
+                ev(f"rr[{u}]", local_view(sys_unknown, agent, u - 1))
 
 
 def test_unknown_name_is_model_error():
@@ -106,8 +118,7 @@ def test_vector_scalar_agreement():
             "dlvrd": rng.integers(0, 2, n).astype(np.uint8)}
     for u in range(1, 7):
         cols[f"rr[{u}]"] = rng.integers(0, 2, n).astype(np.uint8)
-    latch = {f"rr[{u}]": u for u in range(1, 7)}
-    vec_view = le.HistoryView(cols, 6, latch)
+    vec_view = history(cols, 6)
     for text in exprs:
         expr = le.parse_local_expr(text)
         for slot in (1, 2, 3):
@@ -115,7 +126,7 @@ def test_vector_scalar_agreement():
             for i in range(0, n, 17):
                 scalar_cols = {k: (bool(v[i]) if k != "slot_request" else int(v[i]))
                                for k, v in cols.items()}
-                sv = le.HistoryView(scalar_cols, 6, latch)
+                sv = history(scalar_cols, 6)
                 assert bool(vec[i]) == bool(le.eval_expr(expr, sv, slot=slot))
 
 
@@ -126,7 +137,7 @@ def test_guess_chain_monotone_pointwise(sr, msg, rr, slot):
     from kbpcheck import dc
     values = {"slot_request": sr, "msg": msg}
     values.update({f"rr[{u}]": rr[u - 1] for u in range(1, 7)})
-    v = le.HistoryView(values, 6, {f"rr[{u}]": u for u in range(1, 7)})
+    v = history(values, 6)
     cf = [le.eval_expr(dc.builtin_predicate(name).ast, v, slot=slot)
           for name in ("cf1", "cf2", "cf3")]
     assert (not cf[0]) or cf[1]

@@ -24,6 +24,33 @@ def test_system_rejects_unknown_owner_and_observer(model3, scen_unknown):
                           [VariableDecl("x", (0, 1), None, frozenset({"C9"}))], 1)
 
 
+def test_grouping_wider_than_63_bits_matches_tuples():
+    # 30 const and 70 step observations: the packed key overflows 63 bits at
+    # every time, so it is compressed on the way; the labels must still be
+    # the first-occurrence numbering of the plain observation tuples
+    from kbpcheck.model import InterpretedSystem
+    rng = np.random.default_rng(5)
+    n, horizon = 400, 2
+    const = rng.integers(0, 2, (6, 30))[rng.integers(0, 6, n)]
+    step = np.stack([rng.integers(0, 2, (3, 70))[rng.integers(0, 3, n)]
+                     for _ in range(horizon + 1)])             # time x run x variable
+    decls = [VariableDecl(f"c{i}", (False, True), None, frozenset({"A"})) for i in range(30)]
+    decls += [VariableDecl(f"s{i}", (False, True), None, frozenset({"A"})) for i in range(70)]
+    system = InterpretedSystem(("A",), horizon, decls, n)
+    for i in range(30):
+        system.set_const(f"c{i}", const[:, i])
+    for i in range(70):
+        system.set_step(f"s{i}", step[:, :, i])
+    system.finalize()
+    for t in range(horizon + 1):
+        first = {}
+        expected = [first.setdefault(tuple(const[r]) + tuple(step[:t + 1, r].ravel()), len(first))
+                    for r in range(n)]
+        labels, n_blocks = system.partition_labels("A", t)
+        assert labels.tolist() == expected
+        assert n_blocks == len(first) > 6
+
+
 def test_points_at_counts(sys_unknown, sys_referendum):
     assert len(points_at(sys_unknown, 6)) == 512      # 4^3 slot vectors * 2^3 msg vectors
     assert len(points_at(sys_unknown, 0)) == sys_unknown.n_runs
