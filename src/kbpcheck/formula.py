@@ -17,7 +17,10 @@ study, dc.dc_macros()), it is not read off a model.
 Evaluation follows the standard clauses: an atom reads the valuation, X moves
 one step forward, and K[A](phi) holds at a point iff phi holds at every point
 in agent A's indistinguishability block.  Evaluation is vectorized over all
-runs at a time and memoized per (node, time) within one Evaluator.
+runs at a time and memoized per (node, time) within one Evaluator.  The memo
+lives as long as its Evaluator, except where the caller knows a node is dead:
+the engine-agreement oracle drops each node's entries after the last formula
+of its suite that contains the node.
 """
 
 from __future__ import annotations
@@ -417,19 +420,34 @@ def parse_formula(text: str, model=None, macros: Optional[MacroTable] = None) ->
 
 
 class Evaluator:
-    """Vectorized evaluator over one system; memoizes per (node, time)."""
+    """Vectorized evaluator over one system; memoizes per (node, time).
+
+    Entries stay until `evict` drops them: the engine-agreement oracle evicts
+    each node after the last formula of its suite that contains it, so that
+    only the vectors of nodes still to be asked for are held.
+    """
 
     def __init__(self, system: InterpretedSystem):
         self.system = system
         self.memo: dict = {}
 
     def vector(self, phi: Formula, time: int) -> np.ndarray:
+        # a memoized (phi, time) was computed within the horizon
+        cached = self.memo.get((phi, time))
+        if cached is not None:
+            return cached
         if not 0 <= time <= self.system.horizon:
             raise UsageError(f"time {time} outside 0..{self.system.horizon}")
         if time + x_depth(phi) > self.system.horizon:
             raise UsageError(
                 f"temporal depth of the formula exceeds the horizon at time {time}")
         return self._vec(phi, time)
+
+    def evict(self, nodes) -> None:
+        """Drop the memoized vectors of `nodes` at every time."""
+        for node in nodes:
+            for time in range(self.system.horizon + 1):
+                self.memo.pop((node, time), None)
 
     def _vec(self, phi, time):
         key = (phi, time)

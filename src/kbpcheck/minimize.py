@@ -47,7 +47,20 @@ def prime_implicants(n: int, on: Sequence[int], dc: Sequence[int] = ()) -> List[
         level = nxt
     on = set(on)
     return sorted(tuple(2 if (mask >> i) & 1 else (v >> i) & 1 for i in range(n))
-                  for v, mask in primes if any(m & ~mask == v for m in on))
+                  for v, mask in primes if _holds_any(v, mask, on))
+
+
+def _holds_any(v: int, mask: int, minterms: Set[int]) -> bool:
+    """Whether cube ``(v, mask)`` holds one of `minterms`, found by scanning
+    the set or the cube's own minterms, whichever is smaller."""
+    if 1 << mask.bit_count() > len(minterms):
+        return any(m & ~mask == v for m in minterms)
+    sub = mask
+    while v | sub not in minterms:     # every submask of mask, from mask down to 0
+        if not sub:
+            return False
+        sub = (sub - 1) & mask
+    return True
 
 
 def _petrick(rows: Sequence[Set[int]], candidates: Sequence[int]) -> Optional[Set[int]]:
@@ -74,6 +87,27 @@ def _petrick(rows: Sequence[Set[int]], candidates: Sequence[int]) -> Optional[Se
     return None
 
 
+def _greedy(rows: Sequence[Set[int]], candidates: Sequence[int]) -> List[int]:
+    """Picks, in order, of the candidate meeting the most rows not yet met
+    (the lowest one on a tie), until every row is met."""
+    counts = dict.fromkeys(sorted(candidates), 0)
+    for row in rows:
+        for i in row:
+            counts[i] += 1
+    picks, left = [], list(rows)
+    while left:
+        pick = max(counts, key=counts.__getitem__)  # the first maximum is the lowest
+        picks.append(pick)
+        for row in left:
+            if pick in row:
+                for i in row:
+                    counts[i] -= 1
+                    if not counts[i]:
+                        del counts[i]
+        left = [row for row in left if pick not in row]
+    return picks
+
+
 def minimize(n: int, on: Sequence[int], dc: Sequence[int] = ()) -> List[Cube]:
     """A minimal (best-effort) prime cover of the ON-set."""
     on = sorted(set(on))
@@ -96,18 +130,8 @@ def minimize(n: int, on: Sequence[int], dc: Sequence[int] = ()) -> List[Cube]:
         candidates = sorted(set().union(*remaining))
         best = _petrick(remaining, candidates) if len(candidates) <= 20 else None
         if best is None:
-            # greedy: repeatedly take the prime covering the most leftovers
-            best = set()
-            left = list(remaining)
-            while left:
-                counts = defaultdict(int)
-                for s in left:
-                    for i in s:
-                        counts[i] += 1
-                pick = max(sorted(counts), key=lambda i: counts[i])
-                best.add(pick)
-                left = [s for s in left if pick not in s]
-        chosen |= best
+            best = _greedy(remaining, candidates)
+        chosen.update(best)
     return [primes[i] for i in sorted(chosen)]
 
 

@@ -152,6 +152,10 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
     initial assignment; truth values must match run by run, which subsumes
     verdict agreement.  Any divergence is recorded, not raised — it is a test
     failure, not a runtime error.
+
+    Each node's memoized vectors are dropped once the last suite formula that
+    contains the node has been compared: the same vectors are computed as
+    with a memo kept for the whole suite, but only the live ones are held.
     """
     naive = naive if naive is not None else generate_runs(
         model, scenario, "naive", max_naive_runs=max_naive_runs)
@@ -163,10 +167,11 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
         suite += random_formulas(reduced, seed, n_random)
     n_keys = naive.meta["n_key_schedules"]
     projection = np.arange(naive.n_runs) // n_keys
+    last_use = {sub: i for i, (_, phi) in enumerate(suite) for sub in fm.subformulas(phi)}
     ev_naive = fm.Evaluator(naive)
     ev_reduced = fm.Evaluator(reduced)
     report = AgreementReport(len(suite), 0, 0, seed)
-    for name, phi in suite:
+    for i, (name, phi) in enumerate(suite):
         depth = fm.x_depth(phi)
         for time in range(0, naive.horizon - depth + 1):
             vec_n = ev_naive.vector(phi, time)
@@ -179,4 +184,7 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
                 report.mismatches.append(
                     Mismatch(name, fm.fmt(phi), time, run,
                              bool(vec_n[run]), bool(vec_r[projection[run]])))
+        dead = {sub for sub in fm.subformulas(phi) if last_use[sub] == i}
+        ev_naive.evict(dead)
+        ev_reduced.evict(dead)
     return report

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from itertools import combinations, product
 
 import pytest
@@ -142,3 +143,28 @@ def test_petrick_search_matches_combinations(seed):
         rows.append(frozenset(row))
     expected = first_cover_by_combinations(rows, ids)
     assert mz._petrick(rows, ids) == expected
+
+
+def greedy_by_recount(rows):
+    """The greedy fallback as a recount and a sort of the counts before each pick."""
+    picks, left = [], list(rows)
+    while left:
+        counts = defaultdict(int)
+        for s in left:
+            for i in s:
+                counts[i] += 1
+        pick = max(sorted(counts), key=lambda i: counts[i])
+        picks.append(pick)
+        left = [s for s in left if pick not in s]
+    return picks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_greedy_picks_match_recounting(seed):
+    # more than 20 candidates, the size at which minimize leaves Petrick
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(1000), rng.randint(21, 60)))
+    rows = [frozenset({i, *rng.sample(ids, rng.randint(0, 5))}) for i in ids]
+    rows += [frozenset(rng.sample(ids, rng.randint(1, 6))) for _ in range(rng.randint(0, 40))]
+    rng.shuffle(rows)
+    assert mz._greedy(rows, ids) == greedy_by_recount(rows)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from kbpcheck import dc
 from kbpcheck import formula as fm
 from kbpcheck.engine import generate_runs, reduced_system
 from kbpcheck.model import UsageError
-from kbpcheck.reduction import engines_agree, invariant_history, random_formulas
+from kbpcheck.reduction import (AgreementReport, Mismatch, engines_agree,
+                                invariant_history, random_formulas)
 
 
 def test_engine_mode_validation(model2, scen2):
@@ -75,16 +78,78 @@ def test_reduced_count_equals_assignments_naive_times_keys(naive2, reduced2):
     assert naive2.n_runs == reduced2.n_runs * naive2.meta["n_key_schedules"]
 
 
-def test_engines_agree_on_restricted_scenario(model2):
-    # a small scenario keeps the naive side tiny: 8 assignments * 4096 keys
+def restricted_scenario():
+    """A 2-slot scenario whose naive side is tiny: 8 assignments * 4096 keys."""
     scen = dc.custom_scenario("C1.slot_request == 1 && C2.slot_request == 2 "
                               "&& C3.slot_request == 0")
     scen.slot_request = {a: (0, 1, 2) for a in ("C1", "C2", "C3")}
+    return scen
+
+
+def test_engines_agree_on_restricted_scenario(model2):
     suite = [("conflict", dc.conflict_macro(1, slots=2)),
              ("k-conflict", fm.Know("C1", dc.conflict_macro(1, slots=2)))]
-    report = engines_agree(model2, scen, suite, seed=5, n_random=25)
+    report = engines_agree(model2, restricted_scenario(), suite, seed=5, n_random=25)
     assert report.ok
     assert report.checks > 0
+
+
+def agree_with_shared_memo(naive, reduced, suite, seed):
+    """engines_agree's comparison with each memo kept for the whole suite."""
+    projection = np.arange(naive.n_runs) // naive.meta["n_key_schedules"]
+    ev_naive, ev_reduced = fm.Evaluator(naive), fm.Evaluator(reduced)
+    report = AgreementReport(len(suite), 0, 0, seed)
+    for name, phi in suite:
+        for time in range(naive.horizon - fm.x_depth(phi) + 1):
+            vec_n = ev_naive.vector(phi, time)
+            vec_r = ev_reduced.vector(phi, time)[projection]
+            report.checks += 1
+            report.points_compared += naive.n_runs
+            if (vec_n != vec_r).any():
+                run = int(np.argmax(vec_n != vec_r))
+                report.mismatches.append(Mismatch(name, fm.fmt(phi), time, run,
+                                                  bool(vec_n[run]), bool(vec_r[run])))
+    return report
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+def test_memo_eviction_computes_and_reports_as_a_shared_memo(model2, monkeypatch, coarse):
+    scen = restricted_scenario()
+    naive = generate_runs(model2, scen, "naive")
+    reduced = reduced_system(model2, scen, coarse_fingerprints=coarse)
+    suite = [(f"spec-{sid}-{agent}-{slot or 0}", dc.spec(sid, agent, slot, slots=2)[0])
+             for sid in dc.SPEC_IDS if sid != "1c"
+             for agent, slot in dc.spec_instances(sid, slots=2)]
+    suite += random_formulas(reduced_system(model2, scen), 5, 25)
+
+    computed = []       # per comparison loop: (naive side, node, time) -> calls
+    compute = fm.Evaluator._compute
+
+    def counted(self, phi, time):
+        computed[-1][self.system is naive, phi, time] += 1
+        return compute(self, phi, time)
+
+    held = []           # naive memo nodes after each formula's eviction
+    evict = fm.Evaluator.evict
+
+    def recorded(self, nodes):
+        evict(self, nodes)
+        if self.system is naive:
+            held.append({node for node, _ in self.memo})
+
+    monkeypatch.setattr(fm.Evaluator, "_compute", counted)
+    monkeypatch.setattr(fm.Evaluator, "evict", recorded)
+    computed.append(Counter())
+    report = engines_agree(model2, scen, suite, seed=5, naive=naive, reduced=reduced)
+    computed.append(Counter())
+    expected = agree_with_shared_memo(naive, reduced, suite, seed=5)
+
+    assert report.ok is not coarse
+    assert report.to_json() == expected.to_json()
+    assert computed[0] == computed[1]
+    assert len(held) == len(suite)
+    for i, nodes in enumerate(held):
+        assert nodes <= {sub for _, phi in suite[i + 1:] for sub in fm.subformulas(phi)}
 
 
 def test_engines_agree_catches_injected_fault(model2, scen2, naive2):
