@@ -441,7 +441,7 @@ class Evaluator:
         if time + x_depth(phi) > self.system.horizon:
             raise UsageError(
                 f"temporal depth of the formula exceeds the horizon at time {time}")
-        return self._vec(phi, time)
+        return self._fill(phi, time)
 
     def evict(self, nodes) -> None:
         """Drop the memoized vectors of `nodes` at every time."""
@@ -450,13 +450,13 @@ class Evaluator:
                 self.memo.pop((node, time), None)
 
     def _vec(self, phi, time):
-        key = (phi, time)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
+        cached = self.memo.get((phi, time))
+        return cached if cached is not None else self._fill(phi, time)
+
+    def _fill(self, phi, time):
         out = self._compute(phi, time)
         out.setflags(write=False)
-        self.memo[key] = out
+        self.memo[phi, time] = out
         return out
 
     def _compute(self, phi, time):

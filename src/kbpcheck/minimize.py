@@ -47,20 +47,7 @@ def prime_implicants(n: int, on: Sequence[int], dc: Sequence[int] = ()) -> List[
         level = nxt
     on = set(on)
     return sorted(tuple(2 if (mask >> i) & 1 else (v >> i) & 1 for i in range(n))
-                  for v, mask in primes if _holds_any(v, mask, on))
-
-
-def _holds_any(v: int, mask: int, minterms: Set[int]) -> bool:
-    """Whether cube ``(v, mask)`` holds one of `minterms`, found by scanning
-    the set or the cube's own minterms, whichever is smaller."""
-    if 1 << mask.bit_count() > len(minterms):
-        return any(m & ~mask == v for m in minterms)
-    sub = mask
-    while v | sub not in minterms:     # every submask of mask, from mask down to 0
-        if not sub:
-            return False
-        sub = (sub - 1) & mask
-    return True
+                  for v, mask in primes if any(m & ~mask == v for m in on))
 
 
 def _petrick(rows: Sequence[Set[int]], candidates: Sequence[int]) -> Optional[Set[int]]:
@@ -102,8 +89,6 @@ def _greedy(rows: Sequence[Set[int]], candidates: Sequence[int]) -> List[int]:
             if pick in row:
                 for i in row:
                     counts[i] -= 1
-                    if not counts[i]:
-                        del counts[i]
         left = [row for row in left if pick not in row]
     return picks
 
