@@ -6,19 +6,15 @@ The bundled case study is a multi-round Dining Cryptographers two-phase
 broadcast (slot reservation, then transmission) over a three-agent key ring.
 """
 
-from .model import (GlobalState, IndistPartition, InterpretedSystem, ModelError,
-                    ObservationHistory, Point, Run, UsageError, VariableDecl,
-                    build_partition, observation_of, points_at)
+from .model import InterpretedSystem, ModelError, Point, UsageError, VariableDecl
 from .formula import (Atom, Const, And, Or, Not, Implies, Iff, Know, Next,
                       Evaluator, Verdict, check_valid_at, eval_at, fmt,
                       parse_formula)
 from .localexpr import parse_local_expr
 from .engine import (ENGINE_MODES, AgentProgram, Announce, AssignKnowledge,
-                     AssignLocal, IfKnowledge, KeySchedule, PhaseBlock,
-                     ProtocolModel, Scenario, eval_local_expr, execute_kbp,
-                     execute_step, generate_runs, verify_kbp_fixpoint)
-from .reduction import (AgreementReport, engines_agree, invariant_history,
-                        random_formulas)
+                     AssignLocal, IfKnowledge, PhaseBlock, ProtocolModel,
+                     Scenario, execute_kbp, generate_runs, verify_kbp_fixpoint)
+from .reduction import AgreementReport, engines_agree, random_formulas
 from .dc import (DcParams, PredicateDef, build_cdc, builtin_predicate,
                  conflict_macro, dc_macros, final_predicates,
                  load_predicates_file, load_scenario_file, pinned_scenario,

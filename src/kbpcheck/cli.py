@@ -21,11 +21,11 @@ import sys
 from . import dc
 from . import formula as fm
 from . import reduction
-from .engine import ENGINE_MODES, execute_kbp, generate_runs
+from .engine import ENGINE_MODES, execute_kbp, generate_runs, reduced_system
 from .model import ModelError, UsageError
 from .refine import (check_candidate, counterexample_from_verdict,
                      refine_sequence, render_counterexample, render_run_table,
-                     synthesize_predicate)
+                     run_witness, synthesize_predicate)
 
 DEFAULT_SEED = 20250810
 
@@ -174,16 +174,15 @@ def emit_json(payload) -> int:
 def cmd_check(args) -> int:
     scenario, mode = resolve_scenario(args)
     model, system = build_system(scenario, mode, args.engine)
-    from .formula import Evaluator, check_valid_at
     spec_ids = list(dc.SPEC_IDS) if args.spec == "all" else [args.spec]
-    evaluator = Evaluator(system)
+    evaluator = fm.Evaluator(system)
     results, counterexamples = [], []
     for sid in spec_ids:
         if sid == ("1c" if mode == "speculative" else "1s") and args.spec == "all":
             continue  # the kc equivalence of the other mode does not apply
         for agent, slot in dc.spec_instances(sid, model.slots, args.agent, args.slot):
             phi, time = dc.spec(sid, agent, slot, model.slots)
-            verdict = check_valid_at(system, phi, time, evaluator)
+            verdict = fm.check_valid_at(system, phi, time, evaluator)
             cex = counterexample_from_verdict(system, verdict)
             if cex:
                 counterexamples.append(cex)
@@ -301,7 +300,6 @@ def cmd_trace(args) -> int:
     scenario = dc.pinned_scenario(sr, msg)
     model, system = build_system(scenario, mode, "reduced")
     if args.format == "json":
-        from .refine import run_witness
         emit_json({"assign": {"slot_request": sr, "msg": msg}, "mode": mode,
                    "table": run_witness(system, 0).to_json()})
     else:
@@ -322,7 +320,6 @@ def cmd_oracle(args) -> int:
             suite.append((f"spec-{sid}-{agent}-{slot or 0}", phi))
     reduced = None
     if args.self_test:
-        from .engine import reduced_system
         reduced = reduced_system(model, scenario, coarse_fingerprints=True)
     report = reduction.engines_agree(model, scenario, suite, seed=args.seed,
                                      n_random=args.random,

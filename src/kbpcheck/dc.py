@@ -150,9 +150,10 @@ class PerSlotPredicate:
     exprs: dict               # slot (or None) -> LocalExpr or text
 
     def ground(self, slot: Optional[int]) -> le.LocalExpr:
-        if slot not in self.exprs:
+        # a synthesized table too wide to minimize has no expression (None)
+        expr = self.exprs.get(slot)
+        if expr is None:
             raise UsageError(f"{self.name}: no expression for slot {slot!r}")
-        expr = self.exprs[slot]
         return _parse_cached(expr) if isinstance(expr, str) else expr
 
 

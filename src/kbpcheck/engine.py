@@ -25,22 +25,20 @@ knowledge-based programs on the reduced model time-inductively: the run
 prefixes up to step t determine each agent's partition at t, which resolves
 every present-time knowledge test at t; verify_kbp_fixpoint re-checks them
 in a built run set of either engine.  Every program local but slot_request
-and msg reads false until the step that assigns it.  execute_step is the
-scalar single-run reference semantics the vectorized loop is tested against.
+and msg reads false until the step that assigns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import formula as fm
 from . import localexpr as le
-from .model import (GlobalState, InterpretedSystem, ModelError, UsageError,
-                    VariableDecl)
+from .model import InterpretedSystem, ModelError, UsageError, VariableDecl
 
 ENGINE_MODES = ("naive", "reduced")
 
@@ -105,13 +103,6 @@ class Scenario:
     slot_request: dict       # agent -> tuple of admissible values
     msg: dict                # agent -> tuple of admissible values
     constraint: Optional[fm.Formula] = None
-
-
-@dataclass(frozen=True)
-class KeySchedule:
-    """Fresh booleans per step and ring edge, steps 1..T (scalar path)."""
-
-    bits: tuple              # bits[t-1] = (value per edge, in model.key_edges order)
 
 
 @dataclass
@@ -361,85 +352,6 @@ def _announce(model: ProtocolModel, system: InterpretedSystem, agent: str, step:
     test = evaluator.vector(stmt.test, step - 1)
     return np.where(test, le.eval_expr(stmt.then_expr, view),
                     le.eval_expr(stmt.else_expr, view)).astype(bool)
-
-# ---------------------------------------------------------------------------
-# Scalar reference semantics
-
-
-def execute_step(model: ProtocolModel, state: GlobalState, key_bits: dict,
-                 step: int) -> GlobalState:
-    """One lock-step macro step on a single run, from the time step-1 state.
-
-    key_bits maps each ring edge to this step's fresh boolean.  Announcements
-    are evaluated on the pre-step state and committed simultaneously; rr[step]
-    and the step's post assignments land in the returned state.
-    """
-    if not 1 <= step <= model.horizon:
-        raise UsageError(f"step {step} outside 1..{model.horizon}")
-    if state.time != step - 1:
-        raise UsageError(f"state is at time {state.time}, expected {step - 1}")
-    valuation = dict(state.valuation)
-
-    def view(agent, time):
-        return le.HistoryView(agent, time, valuation.__getitem__)
-
-    saids = {}
-    for a in model.agents:
-        block = model.programs[a].phases[step - 1]
-        if not isinstance(block.announce, Announce):
-            raise UsageError(
-                "knowledge statements present; use execute_kbp or plug in concrete predicates")
-        c = bool(le.eval_expr(block.announce.expr, view(a, step - 1)))
-        left, right = model.agent_keys(a)
-        saids[a] = c ^ bool(key_bits[left]) ^ bool(key_bits[right])
-    rr = False
-    for a in model.agents:
-        rr ^= saids[a]
-        valuation[f"said[{model.agent_index(a)}]"] = saids[a]
-    for name, value in key_bits.items():
-        valuation[name] = bool(value)
-    valuation[f"rr[{step}]"] = rr
-    for a in model.agents:
-        block = model.programs[a].phases[step - 1]
-        for stmt in block.post:
-            if not isinstance(stmt, AssignLocal):
-                raise UsageError(
-                    "knowledge statements present; use execute_kbp or plug in concrete predicates")
-            valuation[f"{a}.{stmt.var}"] = bool(le.eval_expr(stmt.expr, view(a, step)))
-    return GlobalState(dict(valuation), step)
-
-
-def run_single(model: ProtocolModel, sr: Sequence[int], msg: Sequence[int],
-               schedule: KeySchedule) -> list:
-    """The full state sequence of one run under an explicit key schedule."""
-    valuation = {}
-    for i, a in enumerate(model.agents):
-        for name in model.programs[a].locals_:
-            if name == "slot_request":
-                valuation[f"{a}.{name}"] = int(sr[i])
-            elif name == "msg":
-                valuation[f"{a}.{name}"] = bool(msg[i])
-            else:
-                valuation[f"{a}.{name}"] = False
-        valuation[f"said[{model.agent_index(a)}]"] = False
-    for name, _ in model.key_edges:
-        valuation[name] = False
-    for t in range(1, model.horizon + 1):
-        valuation[f"rr[{t}]"] = False
-    states = [GlobalState(valuation, 0)]
-    for step in range(1, model.horizon + 1):
-        bits = dict(zip([name for name, _ in model.key_edges], schedule.bits[step - 1]))
-        states.append(execute_step(model, states[-1], bits, step))
-    return states
-
-
-def eval_local_expr(expr, observation_history) -> bool:
-    """Value of a local expression over an agent's accumulated history."""
-    if isinstance(expr, str):
-        expr = le.parse_local_expr(expr)
-    h = observation_history
-    view = le.HistoryView(h.agent, h.time, dict(zip(h.names, h.records[-1])).__getitem__)
-    return bool(le.eval_expr(expr, view))
 
 # ---------------------------------------------------------------------------
 # Rendering helpers

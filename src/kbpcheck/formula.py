@@ -492,7 +492,10 @@ class Evaluator:
 def eval_at(system: InterpretedSystem, phi: Formula, point: Point,
             evaluator: Optional[Evaluator] = None) -> bool:
     """Truth of phi at one point."""
-    system._check_point(point)
+    if not 0 <= point.time <= system.horizon:
+        raise UsageError(f"time {point.time} outside 0..{system.horizon}")
+    if not 0 <= point.run < system.n_runs:
+        raise UsageError(f"run {point.run} outside 0..{system.n_runs - 1}")
     ev = evaluator or Evaluator(system)
     return bool(ev.vector(phi, point.time)[point.run])
 

@@ -19,8 +19,10 @@ Grammar (predicates over one agent's accumulated history):
 instantiated.  The "any" binder is a bounded disjunction; it covers forms such
 as  any t in 1..3 except s: (slot_request == t && !rr[t]).
 
-Expressions evaluate either on a single observation history (plain bools) or
-on whole columns of runs at once (numpy vectors); the evaluator is shared.
+The library evaluates expressions on whole columns of runs at once (numpy
+vectors): the engine's step loop and the fixpoint check read them that way.
+The same evaluator also takes plain bools from a single history; that scalar
+form serves the tests' per-history reference.
 Reading rr[u] before step u has happened is a model error.  kc/rcvd/dlvrd read
 false until the step that assigns them; that comes from the storage they are
 read from, and there is no declared initial value.
@@ -327,6 +329,7 @@ def eval_expr(expr: LocalExpr, view: HistoryView, slot: Optional[int] = None,
         if out is None:
             return False
         return out
+    raise TypeError(f"not a local expression node: {expr!r}")
 
 
 def instantiate(expr: LocalExpr, slot: int) -> LocalExpr:

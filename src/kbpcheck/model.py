@@ -10,17 +10,18 @@ local states force equal times, so synchrony is built in.
 
 Runs are stored column-wise (one numpy vector per variable per time class) so
 that formula evaluation and partition construction stay vectorized even for
-the exhaustive key-enumeration engine.
+the exhaustive key-enumeration engine.  Every read serves that vector form:
+a column holds one value per run, and partitions are dense block labels per
+run.  A question about one point indexes those vectors; the per-point
+histories the tests compare the labels against live in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
-
-Value = Union[int, bool]
 
 
 class UsageError(Exception):
@@ -58,84 +59,6 @@ class Point:
 
     run: int
     time: int
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """Materialized view of one run at one time: a total, well-typed valuation."""
-
-    valuation: Mapping[str, Value]
-    time: int
-
-
-@dataclass(frozen=True)
-class Run:
-    """Materialized view of one run: states at times 0..T."""
-
-    run_id: int
-    states: tuple
-
-    @property
-    def initial(self) -> Mapping[str, Value]:
-        return self.states[0].valuation
-
-
-class ObservationHistory:
-    """An agent's perfect-recall local state: one record per time 0..t.
-
-    Records hold the values of every variable observable by the agent, in the
-    fixed order given by `names`, as the system stores them: a latched
-    variable reads false in the records before the step that assigns it.
-    """
-
-    __slots__ = ("agent", "names", "records")
-
-    def __init__(self, agent: str, names: tuple, records: tuple):
-        self.agent = agent
-        self.names = names
-        self.records = records
-
-    @property
-    def time(self) -> int:
-        return len(self.records) - 1
-
-    def value(self, name: str, time: Optional[int] = None) -> Value:
-        t = self.time if time is None else time
-        if not 0 <= t <= self.time:
-            raise UsageError(f"time {t} outside observation history (0..{self.time})")
-        try:
-            i = self.names.index(name)
-        except ValueError:
-            raise UsageError(f"{name!r} is not observable by {self.agent}") from None
-        return self.records[t][i]
-
-    def __eq__(self, other):
-        return (isinstance(other, ObservationHistory)
-                and self.agent == other.agent
-                and self.names == other.names
-                and self.records == other.records)
-
-    def __hash__(self):
-        return hash((self.agent, self.names, self.records))
-
-    def __repr__(self):
-        return f"ObservationHistory({self.agent}, t={self.time})"
-
-
-@dataclass
-class IndistPartition:
-    """Partition of the time-t points for one agent.
-
-    blocks maps each block's shared ObservationHistory to the sorted array of
-    run indices in the block.  labels[r] is the block id of run r (block ids
-    are dense, ordered by least member run).
-    """
-
-    agent: str
-    time: int
-    blocks: dict
-    labels: np.ndarray
-    n_blocks: int
 
 
 class _Trace:
@@ -256,20 +179,6 @@ class InterpretedSystem:
         self._check_agent(agent)
         return self._obs_names[agent]
 
-    def state(self, run: int, time: int) -> GlobalState:
-        self._check_point(Point(run, time))
-        valuation = {}
-        for name in self.variables:
-            if name in self.excluded_atoms:
-                continue
-            raw = int(self._traces[name].at(time)[run])
-            dom = self.variables[name].domain
-            valuation[name] = bool(raw) if isinstance(dom[0], bool) else raw
-        return GlobalState(valuation, time)
-
-    def run(self, run_id: int) -> Run:
-        return Run(run_id, tuple(self.state(run_id, t) for t in range(self.horizon + 1)))
-
     # partitions ----------------------------------------------------------
 
     def partition_labels(self, agent: str, time: int):
@@ -336,45 +245,3 @@ class InterpretedSystem:
     def _check_agent(self, agent):
         if agent not in self.agents:
             raise UsageError(f"unknown agent {agent!r}")
-
-    def _check_point(self, point: Point):
-        if not 0 <= point.time <= self.horizon:
-            raise UsageError(f"time {point.time} outside 0..{self.horizon}")
-        if not 0 <= point.run < self.n_runs:
-            raise UsageError(f"run {point.run} outside 0..{self.n_runs - 1}")
-
-
-def observation_of(system: InterpretedSystem, point: Point, agent: str) -> ObservationHistory:
-    """The agent's full prefix of observable-variable valuations up to point.time."""
-    system._check_agent(agent)
-    system._check_point(point)
-    names = system.observable_names(agent)
-    records = []
-    for t in range(point.time + 1):
-        rec = []
-        for name in names:
-            raw = int(system.column(name, t)[point.run])
-            dom = system.variables[name].domain
-            rec.append(bool(raw) if isinstance(dom[0], bool) else raw)
-        records.append(tuple(rec))
-    return ObservationHistory(agent, names, tuple(records))
-
-
-def points_at(system: InterpretedSystem, time: int) -> list:
-    """One point per run at the given time."""
-    if not 0 <= time <= system.horizon:
-        raise UsageError(f"time {time} outside 0..{system.horizon}")
-    return [Point(r, time) for r in range(system.n_runs)]
-
-
-def build_partition(system: InterpretedSystem, agent: str, time: int) -> IndistPartition:
-    """Explicit partition object (for inspection; the checker uses labels directly)."""
-    labels, n_blocks = system.partition_labels(agent, time)
-    blocks = {}
-    order = np.argsort(labels, kind="stable")
-    boundaries = np.flatnonzero(np.diff(labels[order])) + 1
-    for runs in np.split(order, boundaries):
-        runs = np.sort(runs)
-        rep = observation_of(system, Point(int(runs[0]), time), agent)
-        blocks[rep] = runs
-    return IndistPartition(agent, time, blocks, labels, n_blocks)

@@ -9,9 +9,11 @@ agent observations replaced by the per-step invariant pair
 
 — precisely what a ring member can reconstruct from the announcements and its
 own two keys, and nothing more (the one key it does not hold masks the other
-two contributions down to their xor).  For key-free formulas the engines give
-the same truth values; engines_agree checks that claim formula by formula,
-time by time, point by point under the run projection.
+two contributions down to their xor).  The reduced engine stores that pair
+as the step columns {agent}.contrib and {agent}.oxr, which its partitions
+read.  For key-free formulas the engines give the same truth values;
+engines_agree checks that claim formula by formula and time by time, on whole
+run vectors compared point by point under the run projection.
 """
 
 from __future__ import annotations
@@ -25,36 +27,6 @@ import numpy as np
 from . import formula as fm
 from .engine import (ProtocolModel, Scenario, generate_runs, reduced_system)
 from .model import InterpretedSystem, UsageError
-
-
-def invariant_history(system: InterpretedSystem, run_or_assignment, agent: str,
-                      time: int) -> tuple:
-    """Per step u <= time, the pair (own contribution, xor of the others')."""
-    if isinstance(run_or_assignment, int):
-        run = run_or_assignment
-    else:
-        sr, msg = run_or_assignment
-        assignments = system.meta.get("assignments")
-        if assignments is None:
-            raise UsageError("system carries no assignment table")
-        try:
-            run = assignments.index((tuple(sr), tuple(msg)))
-        except ValueError:
-            raise UsageError(f"assignment {run_or_assignment!r} not admissible here")
-    contrib = system.meta.get("contrib")
-    if contrib is None:
-        raise UsageError("system carries no contribution record")
-    if not 0 <= time <= system.horizon:
-        raise UsageError(f"time {time} outside 0..{system.horizon}")
-    pairs = []
-    for u in range(1, time + 1):
-        own = int(contrib[agent][u][run])
-        total = 0
-        for a in system.agents:
-            total ^= int(contrib[a][u][run])
-        pairs.append((own, total ^ own))
-    return tuple(pairs)
-
 
 # ---------------------------------------------------------------------------
 # Random formula suite
@@ -157,6 +129,8 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
     contains the node has been compared: the same vectors are computed as
     with a memo kept for the whole suite, but only the live ones are held.
     """
+    if n_random < 0:
+        raise UsageError(f"random formula count {n_random} is negative")
     naive = naive if naive is not None else generate_runs(
         model, scenario, "naive", max_naive_runs=max_naive_runs)
     reduced = reduced if reduced is not None else reduced_system(model, scenario)

@@ -281,6 +281,12 @@ def test_oracle_self_test_detects_fault(capsys):
     assert "disagreements" in out
 
 
+def test_oracle_rejects_a_negative_random_count(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--random", "-3")
+    assert code == 2 and out == ""
+    assert "negative" in err
+
+
 def test_parse_helpers():
     assert parse_assign("slot_request=[2,0,0];msg=[1,1,1]") == ([2, 0, 0], [1, 1, 1])
     with pytest.raises(Exception):

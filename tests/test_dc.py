@@ -143,6 +143,13 @@ def test_build_cdc_requires_complete_predicates():
         dc.DcParams(mode="bold")
 
 
+def test_per_slot_predicate_without_an_expression_is_a_usage_error():
+    # a synthesized table too wide to minimize carries no expression (None)
+    kc = dc.PerSlotPredicate("kc_wide", "kc", {1: "true", 2: None, 3: "true"})
+    with pytest.raises(UsageError, match="slot 2"):
+        dc.build_cdc(dc.DcParams(), dict(dc.final_predicates(), kc=kc))
+
+
 def test_scenario_file_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({

@@ -8,11 +8,11 @@ from conftest import run_of
 from kbpcheck import dc, engine
 from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
-from kbpcheck.engine import (KeySchedule, contribution_matrix, eval_local_expr,
-                             execute_kbp, execute_step, generate_runs,
-                             initial_vectors, local_view, rr_vector, run_single,
+from kbpcheck.engine import (contribution_matrix, execute_kbp, generate_runs,
+                             initial_vectors, local_view, rr_vector,
                              verify_kbp_fixpoint)
-from kbpcheck.model import ModelError, Point, UsageError, observation_of
+from kbpcheck.model import ModelError, Point, UsageError
+from scalar import eval_local_expr, observation_of, run_single
 
 
 def test_reduced_run_count_and_order(model3, scen_unknown, sys_unknown):
@@ -76,35 +76,24 @@ def test_knowledge_statements_rejected_by_generate_runs(scen_unknown):
 
 def test_execute_step_reservation_and_transmission(model3):
     # all request slot 2: reservation round 2 has three contributions
-    schedule = KeySchedule(tuple((0, 0, 0) for _ in range(6)))
+    schedule = ((0, 0, 0),) * 6
     states = run_single(model3, [2, 2, 2], [1, 1, 1], schedule)
-    assert states[2].valuation["rr[2]"] is True        # 1 xor 1 xor 1
-    assert states[5].valuation["rr[5]"] is True        # all transmit under kc
+    assert states[2]["rr[2]"] is True        # 1 xor 1 xor 1
+    assert states[5]["rr[5]"] is True        # all transmit under kc
     # only C1 requests slot 2 and transmits: rr[5] = its message
     states = run_single(model3, [2, 0, 0], [1, 1, 1], schedule)
-    assert states[5].valuation["rr[5]"] is True
+    assert states[5]["rr[5]"] is True
     # a step where nobody's condition fires announces all-false
     states = run_single(model3, [0, 0, 0], [1, 1, 1], schedule)
-    assert all(states[t].valuation[f"rr[{t}]"] is False for t in range(1, 7))
+    assert all(states[t][f"rr[{t}]"] is False for t in range(1, 7))
 
 
 def test_execute_step_keys_mask_announcements(model3):
-    sched_a = KeySchedule(tuple((0, 0, 0) for _ in range(6)))
-    sched_b = KeySchedule(tuple((1, 0, 0) for _ in range(6)))
-    run_a = run_single(model3, [2, 2, 2], [1, 1, 1], sched_a)
-    run_b = run_single(model3, [2, 2, 2], [1, 1, 1], sched_b)
-    assert run_a[2].valuation["said[1]"] != run_b[2].valuation["said[1]"]
+    run_a = run_single(model3, [2, 2, 2], [1, 1, 1], ((0, 0, 0),) * 6)
+    run_b = run_single(model3, [2, 2, 2], [1, 1, 1], ((1, 0, 0),) * 6)
+    assert run_a[2]["said[1]"] != run_b[2]["said[1]"]
     for t in range(1, 7):   # keys cancel in the round result
-        assert run_a[t].valuation[f"rr[{t}]"] == run_b[t].valuation[f"rr[{t}]"]
-
-
-def test_execute_step_validates_inputs(model3):
-    schedule = KeySchedule(tuple((0, 0, 0) for _ in range(6)))
-    states = run_single(model3, [1, 2, 3], [1, 0, 1], schedule)
-    with pytest.raises(UsageError):
-        execute_step(model3, states[2], {"k12": 0, "k23": 0, "k31": 0}, 7)
-    with pytest.raises(UsageError):
-        execute_step(model3, states[2], {"k12": 0, "k23": 0, "k31": 0}, 5)
+        assert run_a[t][f"rr[{t}]"] == run_b[t][f"rr[{t}]"]
 
 
 def test_behavior_key_freeness_sampled(model2, naive2):
@@ -122,7 +111,7 @@ def test_behavior_key_freeness_sampled(model2, naive2):
 
 
 def test_naive_matches_scalar_reference(model2, naive2):
-    # spot-check the vectorized naive engine against execute_step semantics
+    # spot-check the vectorized naive engine against the scalar single-run loop
     rng = random.Random(23)
     n_keys = naive2.meta["n_key_schedules"]
     edges = [name for name, _ in model2.key_edges]
@@ -132,11 +121,11 @@ def test_naive_matches_scalar_reference(model2, naive2):
         bits = tuple(tuple((kappa >> (3 * (t - 1) + j)) & 1 for j in range(3))
                      for t in range(1, model2.horizon + 1))
         sr, msg = initial_vectors(naive2, run)
-        states = run_single(model2, sr, msg, KeySchedule(bits))
+        states = run_single(model2, sr, msg, bits)
         latched = [f"{base}[{s}]" for base in ("kc", "rcvd0", "rcvd1")
                    for s in range(1, model2.slots + 1)] + ["dlvrd"]
         for t in range(1, model2.horizon + 1):
-            state = states[t].valuation
+            state = states[t]
             for i, agent in enumerate(naive2.agents):
                 said = state[f"said[{i + 1}]"]
                 assert bool(naive2.column(f"said[{i + 1}]", t)[run]) == said
@@ -146,8 +135,7 @@ def test_naive_matches_scalar_reference(model2, naive2):
                 for name in latched:
                     flat = f"{agent}.{name}"
                     assert bool(naive2.column(flat, t)[run]) == state[flat]
-            assert bool(naive2.column(f"rr[{t}]", t)[run]) == \
-                states[t].valuation[f"rr[{t}]"]
+            assert bool(naive2.column(f"rr[{t}]", t)[run]) == state[f"rr[{t}]"]
 
 
 def test_kbp_equals_candidate_behavior(kbp_systems, sys_unknown):

@@ -112,6 +112,12 @@ def test_next_shifts_time(sys_unknown):
     assert fm.eval_at(sys_unknown, fm.Next(rr2), Point(run, 1))
 
 
+def test_eval_at_rejects_points_outside_the_system(sys_unknown):
+    for point in (Point(0, 7), Point(0, -1), Point(sys_unknown.n_runs, 0), Point(-1, 0)):
+        with pytest.raises(UsageError):
+            fm.eval_at(sys_unknown, fm.TRUE, point)
+
+
 def test_temporal_depth_beyond_horizon_rejected(sys_unknown):
     phi = fm.Next(fm.Next(fm.Atom(None, "rr[1]", "==", 1)))
     with pytest.raises(UsageError):

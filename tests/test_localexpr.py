@@ -89,6 +89,11 @@ def test_unknown_name_is_model_error():
         le.eval_expr(le.LRef("rr", ("const", 9)), view())
 
 
+def test_non_expression_is_a_type_error():
+    with pytest.raises(TypeError):
+        le.eval_expr(None, view())
+
+
 def test_parse_errors_carry_positions():
     for bad in ("rr[", "slot_request ==", "any t in 1..3 rr[t]", "msg &&", "@@"):
         with pytest.raises(UsageError):

@@ -5,8 +5,8 @@ import brute
 from conftest import run_of
 from kbpcheck import dc
 from kbpcheck.engine import generate_runs
-from kbpcheck.model import (Point, UsageError, VariableDecl, build_partition,
-                            observation_of, points_at)
+from kbpcheck.model import Point, UsageError, VariableDecl
+from scalar import observation_of
 
 
 def test_variable_decl_rejects_empty_domain():
@@ -51,29 +51,6 @@ def test_grouping_wider_than_63_bits_matches_tuples():
         assert n_blocks == len(first) > 6
 
 
-def test_points_at_counts(sys_unknown, sys_referendum):
-    assert len(points_at(sys_unknown, 6)) == 512      # 4^3 slot vectors * 2^3 msg vectors
-    assert len(points_at(sys_unknown, 0)) == sys_unknown.n_runs
-    for t in range(7):
-        assert len(points_at(sys_referendum, t)) == 216   # 3^3 * 2^3
-
-
-def test_points_at_rejects_bad_time(sys_unknown):
-    with pytest.raises(UsageError):
-        points_at(sys_unknown, 7)
-    with pytest.raises(UsageError):
-        points_at(sys_unknown, -1)
-
-
-def test_observation_rejects_unknown_agent_and_point(sys_unknown):
-    with pytest.raises(UsageError):
-        observation_of(sys_unknown, Point(0, 3), "C9")
-    with pytest.raises(UsageError):
-        observation_of(sys_unknown, Point(0, 9), "C1")
-    with pytest.raises(UsageError):
-        observation_of(sys_unknown, Point(sys_unknown.n_runs, 0), "C1")
-
-
 def test_observation_of_figure_pair(sys_unknown):
     run = run_of(sys_unknown, [2, 2, 2], [1, 1, 1])
     hist = observation_of(sys_unknown, Point(run, 3), "C1")
@@ -104,9 +81,11 @@ def test_partition_time0_has_8_blocks_per_agent(sys_unknown):
     expected = len(brute.blocks(brute.enumerate_vs(), 0, 0))
     assert expected == 8
     for agent in sys_unknown.agents:
-        part = build_partition(sys_unknown, agent, 0)
-        assert part.n_blocks == 8
-        assert sum(len(runs) for runs in part.blocks.values()) == 512
+        labels, n_blocks = sys_unknown.partition_labels(agent, 0)
+        sizes = np.bincount(labels)
+        assert n_blocks == len(sizes) == 8
+        assert sizes.sum() == 512
+        assert (sizes == 64).all()      # the other two agents' 4^2 * 2^2 initials
 
 
 def test_partition_matches_brute_force_block_counts(sys_unknown):
@@ -181,23 +160,11 @@ def test_perfect_recall_refinement(sys_unknown):
             assert len(np.unique(pairs)) == n_blocks
 
 
-def test_synchrony_by_construction(sys_unknown):
-    # blocks only ever contain points of one time: partitions are per-time
-    part = build_partition(sys_unknown, "C1", 2)
-    assert part.time == 2
-    assert all(h.time == 2 for h in part.blocks)
-
-
 def test_state_and_run_views(sys_unknown):
     run = run_of(sys_unknown, [2, 0, 0], [1, 1, 1])
-    view = sys_unknown.run(run)
-    assert len(view.states) == 7
-    assert view.initial["C1.slot_request"] == 2
-    assert view.states[5].valuation["rr[5]"] is True
-    assert view.states[4].valuation["rr[5]"] is False   # not yet announced
-    for state in view.states:
-        assert set(state.valuation) == {
-            n for n in sys_unknown.variables if n not in sys_unknown.excluded_atoms}
+    assert sys_unknown.column("C1.slot_request", 0)[run] == 2
+    assert sys_unknown.column("rr[5]", 5)[run] == 1
+    assert sys_unknown.column("rr[5]", 4)[run] == 0     # not yet announced
 
 
 def test_pinned_single_run_count(model3):

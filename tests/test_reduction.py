@@ -9,7 +9,7 @@ from kbpcheck import formula as fm
 from kbpcheck.engine import generate_runs, reduced_system
 from kbpcheck.model import UsageError
 from kbpcheck.reduction import (AgreementReport, Mismatch, engines_agree,
-                                invariant_history, random_formulas)
+                                random_formulas)
 
 
 def test_engine_mode_validation(model2, scen2):
@@ -17,27 +17,18 @@ def test_engine_mode_validation(model2, scen2):
         generate_runs(model2, scen2, "symbolic")
 
 
-def test_invariant_history_figure_pair(sys_unknown):
-    left = ((2, 2, 2), (1, 1, 1))
-    right = ((2, 0, 0), (1, 1, 1))
-    h_left = invariant_history(sys_unknown, left, "C1", 3)
-    h_right = invariant_history(sys_unknown, right, "C1", 3)
-    assert h_left == ((0, 0), (1, 0), (0, 0))
-    assert h_left == h_right          # the indistinguishability witness
-    # derived independently
-    assert h_left == brute.observation(left, 0, 3)[1:]
-
-
-def test_invariant_history_all_silent(sys_unknown):
-    h = invariant_history(sys_unknown, ((0, 0, 0), (1, 0, 1)), "C2", 3)
-    assert h == ((0, 0),) * 3
-
-
-def test_invariant_history_validates(sys_unknown):
-    with pytest.raises(UsageError):
-        invariant_history(sys_unknown, ((9, 0, 0), (0, 0, 0)), "C1", 3)
-    with pytest.raises(UsageError):
-        invariant_history(sys_unknown, 0, "C1", 9)
+def test_stored_invariant_pairs_match_brute_force(sys_unknown):
+    # the reduced engine's observation columns, which its partitions read,
+    # hold the per-step pair (own contribution, xor of the others'), derived
+    # independently, for every admissible assignment, agent and time
+    steps = range(1, sys_unknown.horizon + 1)
+    for i, agent in enumerate(sys_unknown.agents):
+        own = np.stack([sys_unknown.column(f"{agent}.contrib", u) for u in steps], axis=1)
+        oxr = np.stack([sys_unknown.column(f"{agent}.oxr", u) for u in steps], axis=1)
+        for run, v in enumerate(sys_unknown.meta["assignments"]):
+            pairs = tuple(zip(own[run].tolist(), oxr[run].tolist()))
+            for t in range(sys_unknown.horizon + 1):
+                assert pairs[:t] == brute.observation(v, i, t)[1:]
 
 
 def test_reduce_counts(model3, scen_unknown):
