@@ -17,6 +17,30 @@ def test_engine_mode_validation(model2, scen2):
         generate_runs(model2, scen2, "symbolic")
 
 
+def _stored_pairs(system, assignment, agent, time):
+    # the (own contribution, xor of the others') pairs stored for one run
+    run = system.meta["assignments"].index(assignment)
+    return tuple((int(system.column(f"{agent}.contrib", u)[run]),
+                  int(system.column(f"{agent}.oxr", u)[run]))
+                 for u in range(1, time + 1))
+
+
+def test_invariant_history_figure_pair(sys_unknown):
+    left = ((2, 2, 2), (1, 1, 1))
+    right = ((2, 0, 0), (1, 1, 1))
+    h_left = _stored_pairs(sys_unknown, left, "C1", 3)
+    h_right = _stored_pairs(sys_unknown, right, "C1", 3)
+    assert h_left == ((0, 0), (1, 0), (0, 0))
+    assert h_left == h_right          # the indistinguishability witness
+    # derived independently
+    assert h_left == brute.observation(left, 0, 3)[1:]
+
+
+def test_invariant_history_all_silent(sys_unknown):
+    h = _stored_pairs(sys_unknown, ((0, 0, 0), (1, 0, 1)), "C2", 3)
+    assert h == ((0, 0),) * 3
+
+
 def test_stored_invariant_pairs_match_brute_force(sys_unknown):
     # the reduced engine's observation columns, which its partitions read,
     # hold the per-step pair (own contribution, xor of the others'), derived
