@@ -16,8 +16,9 @@ study, dc.dc_macros()), it is not read off a model.
 
 Evaluation follows the standard clauses: an atom reads the valuation, X moves
 one step forward, and K[A](phi) holds at a point iff phi holds at every point
-in agent A's indistinguishability block.  Evaluation is vectorized over all
-runs at a time and memoized per (node, time) within one Evaluator.  The memo
+in agent A's indistinguishability block.  A body that is constant over all
+runs is its own K: every block agrees with it.  Evaluation is vectorized over
+all runs at a time and memoized per (node, time) within one Evaluator.  The memo
 lives as long as its Evaluator, except where the caller knows a node is dead:
 the engine-agreement oracle drops each node's entries after the last formula
 of its suite that contains the node.
@@ -483,6 +484,8 @@ class Evaluator:
         if isinstance(phi, Know):
             body = self._vec(phi.child, time)
             labels, n_blocks = system.partition_labels(phi.agent, time)
+            if body.all() or not body.any():
+                return body     # constant: its own K (the agent is checked above)
             tainted = np.zeros(n_blocks, dtype=bool)
             tainted[labels[~body]] = True
             return ~tainted[labels]

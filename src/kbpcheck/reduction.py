@@ -123,7 +123,8 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
     Pointwise: each naive run projects to the reduced run with the same
     initial assignment; truth values must match run by run, which subsumes
     verdict agreement.  Any divergence is recorded, not raised — it is a test
-    failure, not a runtime error.
+    failure, not a runtime error.  A reduced system that is not the quotient
+    of the naive one (other assignments, run count or horizon) is refused.
 
     Each node's memoized vectors are dropped once the last suite formula that
     contains the node has been compared: the same vectors are computed as
@@ -134,13 +135,18 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
     naive = naive if naive is not None else generate_runs(
         model, scenario, "naive", max_naive_runs=max_naive_runs)
     reduced = reduced if reduced is not None else reduced_system(model, scenario)
+    n_keys = naive.meta["n_key_schedules"]
+    if (reduced.n_runs * n_keys != naive.n_runs or reduced.horizon != naive.horizon
+            or reduced.meta.get("assignments") != naive.meta.get("assignments")):
+        raise UsageError(
+            f"the reduced system ({reduced.n_runs:,} runs, horizon {reduced.horizon}) does not "
+            f"quotient the naive one ({naive.n_runs:,} runs, {n_keys:,} key schedules per "
+            f"assignment, horizon {naive.horizon}); build both from one model and scenario")
     suite = list(formula_suite)
     if n_random:
         if seed is None:
             raise UsageError("random formulas need a seed")
         suite += random_formulas(reduced, seed, n_random)
-    n_keys = naive.meta["n_key_schedules"]
-    projection = np.arange(naive.n_runs) // n_keys
     last_use = {sub: i for i, (_, phi) in enumerate(suite) for sub in fm.subformulas(phi)}
     ev_naive = fm.Evaluator(naive)
     ev_reduced = fm.Evaluator(reduced)
@@ -152,12 +158,13 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
             vec_r = ev_reduced.vector(phi, time)
             report.checks += 1
             report.points_compared += naive.n_runs
-            diff = vec_n != vec_r[projection]
+            # naive runs are assignment-major: row a holds assignment a's key schedules
+            diff = vec_n.reshape(-1, n_keys) != vec_r[:, None]
             if diff.any():
                 run = int(np.argmax(diff))
                 report.mismatches.append(
                     Mismatch(name, fm.fmt(phi), time, run,
-                             bool(vec_n[run]), bool(vec_r[projection[run]])))
+                             bool(vec_n[run]), bool(vec_r[run // n_keys])))
         dead = {sub for sub in fm.subformulas(phi) if last_use[sub] == i}
         ev_naive.evict(dead)
         ev_reduced.evict(dead)

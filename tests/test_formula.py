@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,31 @@ def test_know_constant_on_blocks(sys_unknown):
         for run in range(sys_unknown.n_runs):
             per_block.setdefault(int(labels[run]), set()).add(bool(vec[run]))
         assert all(len(vals) == 1 for vals in per_block.values())
+
+
+def test_know_of_a_constant_body_is_the_block_kernel(naive2, reduced2):
+    # a constant body skips the block kernel; K's vector must not change
+    for system in (naive2, reduced2):
+        ev = fm.Evaluator(system)
+        last_rr = fm.Atom(None, f"rr[{system.horizon}]", "==", 1)   # all false before its step
+        taut = fm.Or(last_rr, fm.Not(last_rr))
+        for time in range(system.horizon + 1):
+            for body in (fm.TRUE, fm.FALSE, taut, fm.Not(taut), last_rr):
+                body_vec = ev.vector(body, time)
+                constant = body_vec.all() or not body_vec.any()
+                assert constant or time == system.horizon
+                for agent in system.agents:
+                    labels, n_blocks = system.partition_labels(agent, time)
+                    tainted = np.zeros(n_blocks, dtype=bool)
+                    tainted[labels[~body_vec]] = True
+                    know = ev.vector(fm.Know(agent, body), time)
+                    assert np.array_equal(know, ~tainted[labels])
+                    assert (know is body_vec) == constant   # shared, not copied
+
+
+def test_know_of_a_constant_body_still_checks_the_agent(reduced2):
+    with pytest.raises(UsageError, match="C9"):
+        fm.Evaluator(reduced2).vector(fm.Know("C9", fm.TRUE), 0)
 
 
 def test_eval_on_valuation():

@@ -5,7 +5,7 @@ import brute
 from conftest import run_of
 from kbpcheck import dc
 from kbpcheck.engine import generate_runs
-from kbpcheck.model import Point, UsageError, VariableDecl
+from kbpcheck.model import InterpretedSystem, ModelError, Point, UsageError, VariableDecl
 from scalar import observation_of
 
 
@@ -15,7 +15,6 @@ def test_variable_decl_rejects_empty_domain():
 
 
 def test_system_rejects_unknown_owner_and_observer(model3, scen_unknown):
-    from kbpcheck.model import InterpretedSystem
     with pytest.raises(UsageError):
         InterpretedSystem(("C1",), 2,
                           [VariableDecl("x", (0, 1), "C9", frozenset())], 1)
@@ -24,11 +23,37 @@ def test_system_rejects_unknown_owner_and_observer(model3, scen_unknown):
                           [VariableDecl("x", (0, 1), None, frozenset({"C9"}))], 1)
 
 
+def _one_const(domain, values):
+    system = InterpretedSystem(("A",), 1, [VariableDecl("x", domain, "A", frozenset({"A"}))],
+                               len(values))
+    system.set_const("x", np.array(values, dtype=np.uint8))
+    return system
+
+
+def test_finalize_lists_values_above_a_contiguous_domain():
+    with pytest.raises(ModelError, match=r"'x' outside its domain: \[3, 5\]$"):
+        _one_const((0, 1, 2), [0, 5, 2, 3, 1, 5]).finalize()
+
+
+def test_finalize_lists_values_in_the_gap_of_a_domain():
+    # 1 lies between the domain's min and max, so only the exact check finds it
+    with pytest.raises(ModelError, match=r"'x' outside its domain: \[1\]$"):
+        _one_const((0, 2), [0, 2, 1, 2]).finalize()
+    assert _one_const((0, 2), [2, 0, 2]).finalize().n_runs == 3
+
+
+def test_finalize_accepts_a_system_without_runs():
+    system = InterpretedSystem(("A",), 1, [VariableDecl("x", (0, 1), "A", frozenset({"A"})),
+                                           VariableDecl("y", (1,), None, frozenset())], 0)
+    system.set_const("x", np.zeros(0, dtype=np.uint8))
+    system.set_step("y", np.zeros((2, 0), dtype=np.uint8))
+    assert system.finalize() is system
+
+
 def test_grouping_wider_than_63_bits_matches_tuples():
     # 30 const and 70 step observations: the packed key overflows 63 bits at
     # every time, so it is compressed on the way; the labels must still be
     # the first-occurrence numbering of the plain observation tuples
-    from kbpcheck.model import InterpretedSystem
     rng = np.random.default_rng(5)
     n, horizon = 400, 2
     const = rng.integers(0, 2, (6, 30))[rng.integers(0, 6, n)]

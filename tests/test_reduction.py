@@ -167,6 +167,29 @@ def test_memo_eviction_computes_and_reports_as_a_shared_memo(model2, monkeypatch
         assert nodes <= {sub for _, phi in suite[i + 1:] for sub in fm.subformulas(phi)}
 
 
+def test_mismatch_names_the_first_differing_run_and_both_values(model2, monkeypatch):
+    scen = restricted_scenario()
+    naive = generate_runs(model2, scen, "naive")
+    reduced = reduced_system(model2, scen)
+    run = 5 * naive.meta["n_key_schedules"] + 1234     # inside assignment 5's key schedules
+    vector = fm.Evaluator.vector
+
+    def flipped(self, phi, time):
+        out = vector(self, phi, time)
+        if self.system is naive and time == 1:
+            out = out.copy()
+            out[[run, run + 7]] ^= True
+        return out
+
+    monkeypatch.setattr(fm.Evaluator, "vector", flipped)
+    suite = [("conflict", dc.conflict_macro(1, slots=2))]
+    report = engines_agree(model2, scen, suite, naive=naive, reduced=reduced)
+    truth = bool(fm.Evaluator(reduced).vector(suite[0][1], 1)[5])
+    assert [(m.time, m.run, m.naive_value, m.reduced_value) for m in report.mismatches] \
+        == [(1, run, not truth, truth)]
+    assert report.to_json() == agree_with_shared_memo(naive, reduced, suite, None).to_json()
+
+
 def test_engines_agree_catches_injected_fault(model2, scen2, naive2):
     coarse = reduced_system(model2, scen2, coarse_fingerprints=True)
     suite = [(f"spec-1s-{a}-{s}", dc.spec("1s", a, s, slots=2)[0])
@@ -174,6 +197,23 @@ def test_engines_agree_catches_injected_fault(model2, scen2, naive2):
     report = engines_agree(model2, scen2, suite, naive=naive2, reduced=coarse)
     assert not report.ok
     assert report.mismatches
+
+
+def test_engines_agree_refuses_a_reduced_system_of_other_runs(model2, scen2, naive2,
+                                                             sys_unknown, monkeypatch):
+    def no_evaluation(self, phi, time):
+        raise AssertionError("evaluated before the systems were checked")
+
+    monkeypatch.setattr(fm.Evaluator, "_compute", no_evaluation)
+    suite = [("conflict", dc.conflict_macro(1, slots=2))]
+    # 3 slots: 512 runs at horizon 6 against 216 assignments at horizon 4
+    with pytest.raises(UsageError, match="does not quotient the naive one"):
+        engines_agree(model2, scen2, suite, naive=naive2, reduced=sys_unknown)
+    # one assignment each, but not the same one
+    naive = generate_runs(model2, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive")
+    other = reduced_system(model2, dc.pinned_scenario([1, 2, 0], [1, 1, 1], slots=2))
+    with pytest.raises(UsageError, match="does not quotient the naive one"):
+        engines_agree(model2, scen2, suite, naive=naive, reduced=other)
 
 
 def test_random_formulas_are_seeded_and_key_free(sys_unknown):
