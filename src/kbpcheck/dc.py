@@ -136,8 +136,9 @@ class PredicateDef:
     def ast(self) -> le.LocalExpr:
         return _parse_cached(self.expr)
 
-    def ground(self, slot: Optional[int]) -> le.LocalExpr:
-        return self.ast if slot is None else le.instantiate(self.ast, slot)
+    def expr_for(self, slot: Optional[int]) -> le.LocalExpr:
+        """The expression the program assigns for `slot`; its 's' reads `slot`."""
+        return self.ast
 
 
 @dataclass
@@ -149,7 +150,7 @@ class PerSlotPredicate:
     target: str
     exprs: dict               # slot (or None) -> LocalExpr or text
 
-    def ground(self, slot: Optional[int]) -> le.LocalExpr:
+    def expr_for(self, slot: Optional[int]) -> le.LocalExpr:
         # a synthesized table too wide to minimize has no expression (None)
         expr = self.exprs.get(slot)
         if expr is None:
@@ -248,7 +249,7 @@ def build_cdc(params: DcParams, predicates: Optional[dict] = None,
         if missing:
             raise UsageError(f"incomplete predicate set: missing {sorted(missing)}")
         for target, pred in predicates.items():
-            if not hasattr(pred, "ground"):
+            if not hasattr(pred, "expr_for"):
                 raise UsageError(f"target {target!r}: not a predicate definition")
     programs = {a: _agent_program(a, params, predicates, kbp) for a in AGENTS}
     return ProtocolModel(AGENTS, n, 2 * n, programs, KEY_EDGES)
@@ -271,7 +272,7 @@ def _agent_program(agent: str, params: DcParams, predicates: Optional[dict],
         know, time = target_formula(target, agent, s, n, params.mode)
         var = _target_var(target, s)
         post[time].append(AssignKnowledge(var, know) if kbp
-                          else AssignLocal(var, predicates[target].ground(s)))
+                          else AssignLocal(var, predicates[target].expr_for(s), s))
 
     phases = []
     for step in range(1, 2 * n + 1):

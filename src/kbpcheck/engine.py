@@ -26,6 +26,12 @@ prefixes up to step t determine each agent's partition at t, which resolves
 every present-time knowledge test at t; verify_kbp_fixpoint re-checks them
 in a built run set of either engine.  Every program local but slot_request
 and msg reads false until the step that assigns it.
+
+Announcements and local assignments are local expressions, compiled to
+formulas and evaluated by the formula evaluator, one fresh Evaluator per
+statement: the loop writes each latched column in place, so within a step a
+statement reads false from a local that a later statement assigns, and the
+new value from one that an earlier statement assigned.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ class IfKnowledge:
 class AssignLocal:
     var: str
     expr: le.LocalExpr
+    slot: Optional[int] = None      # what 's' in expr stands for
 
 
 @dataclass(frozen=True)
@@ -334,7 +341,7 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
         for a in model.agents:
             for stmt in model.programs[a].phases[step - 1].post:
                 if isinstance(stmt, AssignLocal):
-                    value = _scalarize(le.eval_expr(stmt.expr, local_view(system, a, step)), n)
+                    value = le.eval_expr(stmt.expr, system, a, step, stmt.slot)
                 else:
                     value = evaluator.vector(stmt.formula, step)
                 latched[f"{a}.{stmt.var}"][:] = value
@@ -346,12 +353,11 @@ def _announce(model: ProtocolModel, system: InterpretedSystem, agent: str, step:
               evaluator: Optional[fm.Evaluator]) -> np.ndarray:
     """The agent's contribution bits at `step`, from its view at step - 1."""
     stmt = model.programs[agent].phases[step - 1].announce
-    view = local_view(system, agent, step - 1)
     if isinstance(stmt, Announce):
-        return _scalarize(le.eval_expr(stmt.expr, view), system.n_runs)
+        return le.eval_expr(stmt.expr, system, agent, step - 1)
     test = evaluator.vector(stmt.test, step - 1)
-    return np.where(test, le.eval_expr(stmt.then_expr, view),
-                    le.eval_expr(stmt.else_expr, view)).astype(bool)
+    return np.where(test, le.eval_expr(stmt.then_expr, system, agent, step - 1),
+                    le.eval_expr(stmt.else_expr, system, agent, step - 1))
 
 # ---------------------------------------------------------------------------
 # Rendering helpers
@@ -397,20 +403,3 @@ def verify_kbp_fixpoint(system: InterpretedSystem, model: ProtocolModel) -> bool
                     return False
     return True
 
-
-def local_view(system, agent, time) -> le.HistoryView:
-    """What the agent's own code can read at `time`, as run vectors; columns
-    are read when an expression asks for them."""
-    observable = system.observable_names(agent)
-
-    def read(name):
-        if name not in observable:
-            raise KeyError(name)
-        return system.column(name, time)
-    return le.HistoryView(agent, time, read)
-
-
-def _scalarize(value, n):
-    if isinstance(value, np.ndarray):
-        return value.astype(bool)
-    return np.full(n, bool(value))

@@ -21,7 +21,11 @@ runs is its own K: every block agrees with it.  Evaluation is vectorized over
 all runs at a time and memoized per (node, time) within one Evaluator.  The memo
 lives as long as its Evaluator, except where the caller knows a node is dead:
 the engine-agreement oracle drops each node's entries after the last formula
-of its suite that contains the node.
+of its suite that contains the node.  Nodes compute their hash once, so a memo
+lookup does not walk the subtree.
+
+This is the library's one evaluator: agents' local expressions compile to
+K/X-free formulas (localexpr.to_formula) and are evaluated here too.
 """
 
 from __future__ import annotations
@@ -38,12 +42,28 @@ from .model import InterpretedSystem, Point, UsageError
 # AST
 
 
-@dataclass(frozen=True)
+def node(cls):
+    """A frozen dataclass whose hash is computed once per instance: memo and
+    cache lookups keyed by a node would otherwise hash its whole subtree."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", fields_hash(self))
+            return self._hash
+    cls.__hash__ = __hash__
+    return cls
+
+
+@node
 class Const:
     value: bool
 
 
-@dataclass(frozen=True)
+@node
 class Atom:
     agent: Optional[str]     # None for environment variables
     var: str                 # flat name, e.g. "slot_request", "kc[1]", "rr[2]"
@@ -55,42 +75,42 @@ class Atom:
         return self.var if self.agent is None else f"{self.agent}.{self.var}"
 
 
-@dataclass(frozen=True)
+@node
 class Not:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@node
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@node
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@node
 class Know:
     agent: str
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@node
 class Next:
     child: "Formula"
 
@@ -568,7 +588,8 @@ def explain_know_failure(system: InterpretedSystem, phi: Formula, point: Point,
 
 
 def eval_on_valuation(phi: Formula, valuation: dict) -> bool:
-    """Evaluate a K/X-free formula on a single valuation (scenario constraints)."""
+    """Evaluate a K/X-free formula on a single valuation (scenario constraints,
+    and the tests' scalar reference for compiled local expressions)."""
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, Atom):

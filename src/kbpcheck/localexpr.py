@@ -15,29 +15,30 @@ Grammar (predicates over one agent's accumulated history):
     iterm   := INT | "s" | VAR
     iset    := "{" iterm ("," iterm)* "}" | INT ".." INT ["except" idx]
 
-"s" is the slot parameter, substituted when a slot-parameterized predicate is
-instantiated.  The "any" binder is a bounded disjunction; it covers forms such
-as  any t in 1..3 except s: (slot_request == t && !rr[t]).
+"s" is the slot parameter, substituted when an expression is compiled for a
+slot.  The "any" binder is a bounded disjunction; it covers forms such as
+any t in 1..3 except s: (slot_request == t && !rr[t]).
 
-The library evaluates expressions on whole columns of runs at once (numpy
-vectors): the engine's step loop and the fixpoint check read them that way.
-The same evaluator also takes plain bools from a single history; that scalar
-form serves the tests' per-history reference.
-Reading rr[u] before step u has happened is a model error.  kc/rcvd/dlvrd read
-false until the step that assigns them; that comes from the storage they are
-read from, and there is no declared initial value.
+An expression is not interpreted on its own: to_formula compiles it, for one
+agent at one time, to a K/X-free formula over the agent's flat names (rr[u],
+C1.kc[2], C1.slot_request == v), and the formula evaluator evaluates that on
+whole columns of runs (eval_expr) or on one valuation (the tests' scalar
+reference).  Reading rr[u] before step u has happened is a model error.
+kc/rcvd/dlvrd read false until the step that assigns them; that comes from
+the storage they are read from, and there is no declared initial value.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Optional, Union
 
 import numpy as np
 
-from .formula import Cursor
-from .model import ModelError, UsageError
+from . import formula as fm
+from .formula import Cursor, node
+from .model import InterpretedSystem, ModelError, UsageError
 
 # ---------------------------------------------------------------------------
 # AST
@@ -45,37 +46,37 @@ from .model import ModelError, UsageError
 Idx = tuple  # ("const", n) | ("slot", offset) | ("var", name, offset)
 
 
-@dataclass(frozen=True)
+@node
 class LConst:
     value: bool
 
 
-@dataclass(frozen=True)
+@node
 class LRef:
     base: str            # rr | kc | rcvd0 | rcvd1 | msg | dlvrd
     index: Optional[Idx]
 
 
-@dataclass(frozen=True)
+@node
 class LSlotCmp:
     op: str              # "==" | "!=" | "in"
     terms: tuple         # of Idx (a single one for ==/!=)
     except_: Optional[Idx] = None
 
 
-@dataclass(frozen=True)
+@node
 class LNot:
     child: "LocalExpr"
 
 
-@dataclass(frozen=True)
+@node
 class LBin:
     op: str              # "&&" | "||" | "==" | "!="
     left: "LocalExpr"
     right: "LocalExpr"
 
 
-@dataclass(frozen=True)
+@node
 class LAny:
     var: str
     lo: int
@@ -234,36 +235,7 @@ def parse_local_expr(text: str) -> LocalExpr:
     return _Parser(text, _TOKEN, "local expression").parse()
 
 # ---------------------------------------------------------------------------
-# Evaluation
-
-
-class HistoryView:
-    """One agent's history at `time`, read on demand.
-
-    read maps flat names (rr[u], or the agent's own "C1.kc[2]") to values,
-    scalars or run vectors, and raises KeyError for a name it does not hold.
-    Latched variables already read false before their step wherever they are
-    stored, so the one time rule left here is that rr[u] cannot be read
-    before step u.  Only the local-expression vocabulary can be read.
-    """
-
-    def __init__(self, agent: str, time: int, read):
-        self.agent = agent
-        self.time = time
-        self.read = read
-
-    def ref(self, base: str, index: Optional[int]):
-        name = base if index is None else f"{base}[{index}]"
-        try:
-            if base not in (_UNINDEXED if index is None else _INDEXED):
-                raise KeyError(name)
-            value = self.read(name if base == "rr" else f"{self.agent}.{name}")
-        except KeyError:
-            raise ModelError(f"unknown history variable {name!r} (agent {self.agent})") from None
-        if base == "rr" and index > self.time:
-            raise ModelError(f"unassigned history variable {name!r} read at time "
-                             f"{self.time} (agent {self.agent})")
-        return value
+# Compilation and evaluation
 
 
 def _resolve(idx: Optional[Idx], slot: Optional[int], bindings: dict) -> Optional[int]:
@@ -281,76 +253,78 @@ def _resolve(idx: Optional[Idx], slot: Optional[int], bindings: dict) -> Optiona
     return bindings[name] + off
 
 
-def eval_expr(expr: LocalExpr, view: HistoryView, slot: Optional[int] = None,
-              bindings: Optional[dict] = None):
-    """Evaluate over a HistoryView; returns a bool or a bool vector."""
-    bindings = bindings or {}
-    if isinstance(expr, LConst):
-        return expr.value
-    if isinstance(expr, LRef):
-        value = view.ref(expr.base, _resolve(expr.index, slot, bindings))
-        return value.astype(bool) if isinstance(value, np.ndarray) else bool(value)
-    if isinstance(expr, LSlotCmp):
-        sr = view.ref("slot_request", None)
-        values = [_resolve(t, slot, bindings) for t in expr.terms]
-        if expr.except_ is not None:
+@lru_cache(maxsize=8192)
+def _shared(phi: fm.Formula) -> fm.Formula:
+    """The first-built node equal to `phi`: compiled formulas share their
+    equal subtrees, which keeps the compile cache small."""
+    return phi
+
+
+def _disj(parts: list) -> fm.Formula:
+    return reduce(lambda out, part: _shared(fm.Or(out, part)), parts) if parts else fm.FALSE
+
+
+_CONNECTIVES = {"&&": fm.And, "||": fm.Or, "==": fm.Iff, "!=": fm.Iff}
+
+
+@lru_cache(maxsize=4096)
+def to_formula(expr: LocalExpr, agent: str, time: int, slot: Optional[int] = None,
+               names: Optional[tuple] = None) -> fm.Formula:
+    """The K/X-free formula an expression stands for in `agent`'s code at `time`.
+
+    's' becomes `slot` and each "any" binder a disjunction; rr[u] becomes the
+    atom rr[u], and an own local x the atom agent.x.  A reference outside the
+    vocabulary, or outside `names` (the agent's observable names) when given,
+    is an unknown history variable; rr[u] cannot be read before step u.
+    """
+
+    def ref(base, index):
+        name = base if index is None else f"{base}[{index}]"
+        flat = name if base == "rr" else f"{agent}.{name}"
+        if base not in (_UNINDEXED if index is None else _INDEXED) or (
+                names is not None and flat not in names):
+            raise ModelError(f"unknown history variable {name!r} (agent {agent})")
+        if base == "rr" and index > time:
+            raise ModelError(f"unassigned history variable {name!r} read at time "
+                             f"{time} (agent {agent})")
+        return (None if base == "rr" else agent), name
+
+    def compile_(expr, bindings):
+        if isinstance(expr, LConst):
+            return fm.TRUE if expr.value else fm.FALSE
+        if isinstance(expr, LRef):
+            return _shared(fm.Atom(*ref(expr.base, _resolve(expr.index, slot, bindings)), "==", 1))
+        if isinstance(expr, LSlotCmp):
+            owner, var = ref("slot_request", None)
+            values = [_resolve(t, slot, bindings) for t in expr.terms]
+            if expr.except_ is not None:
+                excluded = _resolve(expr.except_, slot, bindings)
+                values = [v for v in values if v != excluded]
+            if expr.op != "in":
+                return _shared(fm.Atom(owner, var, expr.op, values[0]))
+            return _disj([_shared(fm.Atom(owner, var, "==", v)) for v in values])
+        if isinstance(expr, LNot):
+            return _shared(fm.Not(compile_(expr.child, bindings)))
+        if isinstance(expr, LBin):
+            phi = _shared(_CONNECTIVES[expr.op](compile_(expr.left, bindings),
+                                                compile_(expr.right, bindings)))
+            return _shared(fm.Not(phi)) if expr.op == "!=" else phi
+        if isinstance(expr, LAny):
             excluded = _resolve(expr.except_, slot, bindings)
-            values = [v for v in values if v != excluded]
-        if expr.op == "==":
-            return sr == values[0]
-        if expr.op == "!=":
-            return sr != values[0]
-        out = sr == values[0] if values else (sr != sr)
-        for v in values[1:]:
-            out = out | (sr == v)
-        return out
-    if isinstance(expr, LNot):
-        child = eval_expr(expr.child, view, slot, bindings)
-        return ~child if isinstance(child, np.ndarray) else not child
-    if isinstance(expr, LBin):
-        left = eval_expr(expr.left, view, slot, bindings)
-        right = eval_expr(expr.right, view, slot, bindings)
-        if expr.op == "&&":
-            return left & right
-        if expr.op == "||":
-            return left | right
-        if expr.op == "==":
-            return left == right
-        return left != right
-    if isinstance(expr, LAny):
-        values = range(expr.lo, expr.hi + 1)
-        excluded = _resolve(expr.except_, slot, bindings)
-        out = None
-        for v in values:
-            if v == excluded:
-                continue
-            term = eval_expr(expr.body, view, slot, {**bindings, expr.var: v})
-            out = term if out is None else (out | term)
-        if out is None:
-            return False
-        return out
-    raise TypeError(f"not a local expression node: {expr!r}")
+            return _disj([compile_(expr.body, {**bindings, expr.var: v})
+                          for v in range(expr.lo, expr.hi + 1) if v != excluded])
+        raise TypeError(f"not a local expression node: {expr!r}")
+
+    return compile_(expr, {})
 
 
-def instantiate(expr: LocalExpr, slot: int) -> LocalExpr:
-    """Ground a slot-parameterized expression: every 's' index becomes a constant."""
+def eval_expr(expr: LocalExpr, system: InterpretedSystem, agent: str, time: int,
+              slot: Optional[int] = None) -> np.ndarray:
+    """The expression's truth vector over all runs of `system`, read at `time`.
 
-    def ground(idx):
-        if idx is None or idx[0] != "slot":
-            return idx
-        return ("const", slot + idx[1])
-
-    if isinstance(expr, LConst):
-        return expr
-    if isinstance(expr, LRef):
-        return LRef(expr.base, ground(expr.index))
-    if isinstance(expr, LSlotCmp):
-        return LSlotCmp(expr.op, tuple(ground(t) for t in expr.terms), ground(expr.except_))
-    if isinstance(expr, LNot):
-        return LNot(instantiate(expr.child, slot))
-    if isinstance(expr, LBin):
-        return LBin(expr.op, instantiate(expr.left, slot), instantiate(expr.right, slot))
-    if isinstance(expr, LAny):
-        return LAny(expr.var, expr.lo, expr.hi, ground(expr.except_),
-                    instantiate(expr.body, slot))
-    raise TypeError(f"not a local expression node: {expr!r}")
+    Each call evaluates with a fresh Evaluator: the engine writes latched
+    columns in place while it builds, and a memo kept across statements would
+    hand back a column's value from before its write.
+    """
+    phi = to_formula(expr, agent, time, slot, system.observable_names(agent))
+    return fm.Evaluator(system).vector(phi, time)

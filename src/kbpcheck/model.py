@@ -202,6 +202,8 @@ class InterpretedSystem:
             labels, n = self._group([self.column(n, 0) for n in names],
                                     [self.variables[n].bits() for n in names], None)
         else:
+            # the previous labels already split the runs by the const records
+            names = [n for n in names if self._traces[n].kind == "step"]
             prev, n_prev = self.partition_labels(agent, time - 1)
             cols = [self.column(n, time) for n in names]
             bits = [self.variables[n].bits() for n in names]

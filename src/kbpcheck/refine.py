@@ -26,8 +26,7 @@ import numpy as np
 from . import formula as fm
 from . import localexpr as le
 from . import minimize as mz
-from .engine import (contribution_matrix, initial_vectors, local_view,
-                     rr_vector)
+from .engine import contribution_matrix, initial_vectors, rr_vector
 from .model import InterpretedSystem, Point, UsageError
 
 DIRECTIONS = ("candidate-true-knowledge-false", "knowledge-true-candidate-false")
@@ -146,11 +145,7 @@ def candidate_values(system: InterpretedSystem, candidate: Candidate, agent: str
         expr = le.parse_local_expr(expr)
     if not isinstance(expr, (le.LConst, le.LRef, le.LSlotCmp, le.LNot, le.LBin, le.LAny)):
         raise UsageError(f"not a candidate predicate: {candidate!r}")
-    view = local_view(system, agent, time)
-    value = le.eval_expr(expr, view, slot=slot)
-    if not isinstance(value, np.ndarray):
-        value = np.full(system.n_runs, bool(value))
-    return value.astype(bool)
+    return le.eval_expr(expr, system, agent, time, slot)
 
 
 @dataclass
@@ -319,6 +314,8 @@ def synthesize_predicate(system: InterpretedSystem, know_formula: fm.Formula,
                          agent: str, time: int,
                          evaluator: Optional[fm.Evaluator] = None) -> SynthesizedPredicate:
     """Read the exact predicate off the model: the formula's value per class."""
+    if agent not in system.agents:
+        raise UsageError(f"unknown agent {agent!r}")
     ev = evaluator or fm.Evaluator(system)
     values = ev.vector(know_formula, time)
     rr_count = min(time, system.horizon)

@@ -8,6 +8,7 @@ against a plainly scalar route.
 from dataclasses import dataclass
 from typing import Optional
 
+from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
 
 
@@ -59,11 +60,10 @@ def run_single(model, sr, msg, key_bits) -> list:
     for step, bits in enumerate(key_bits, start=1):
         valuation = dict(valuation)
         valuation.update(zip(edges, map(bool, bits)))
-        read = valuation.__getitem__
         said = {}
         for a in model.agents:
             block = model.programs[a].phases[step - 1]
-            contrib = bool(le.eval_expr(block.announce.expr, le.HistoryView(a, step - 1, read)))
+            contrib = eval_local(block.announce.expr, a, step - 1, valuation)
             left, right = model.agent_keys(a)
             said[a] = contrib ^ valuation[left] ^ valuation[right]
         for a in model.agents:
@@ -71,15 +71,24 @@ def run_single(model, sr, msg, key_bits) -> list:
         valuation[f"rr[{step}]"] = sum(said.values()) % 2 == 1
         for a in model.agents:
             for stmt in model.programs[a].phases[step - 1].post:
-                valuation[f"{a}.{stmt.var}"] = bool(
-                    le.eval_expr(stmt.expr, le.HistoryView(a, step, read)))
+                valuation[f"{a}.{stmt.var}"] = eval_local(stmt.expr, a, step, valuation,
+                                                          stmt.slot)
         states.append(valuation)
     return states
 
 
-def eval_local_expr(expr, history: History) -> bool:
-    """Value of a local expression (text or AST) at the history's last time."""
+def eval_local(expr, agent, time, valuation: dict, slot=None) -> bool:
+    """Value of a local expression (text or AST) in the agent's code at
+    `time`, on one valuation of flat names (rr[u], or its own C1.kc[2]): the
+    expression's formula evaluated on that valuation.  A name the valuation
+    lacks is an unknown history variable."""
     if isinstance(expr, str):
         expr = le.parse_local_expr(expr)
-    last = dict(zip(history.names, history.records[-1]))
-    return bool(le.eval_expr(expr, le.HistoryView(history.agent, history.time, last.__getitem__)))
+    phi = le.to_formula(expr, agent, time, slot, tuple(valuation))
+    return fm.eval_on_valuation(phi, valuation)
+
+
+def eval_local_expr(expr, history: History, slot=None) -> bool:
+    """Value of a local expression (text or AST) at the history's last time."""
+    return eval_local(expr, history.agent, history.time,
+                      dict(zip(history.names, history.records[-1])), slot)

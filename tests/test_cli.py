@@ -125,6 +125,31 @@ def test_refine_kc_builds_each_candidate_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 2     # one run set per candidate, no extra probe
 
 
+@pytest.mark.parametrize("agent", dc.AGENTS)
+@pytest.mark.parametrize("target,expr,message", [
+    # the candidate path: the predicate is read at the end of the run
+    ("conflict_free", "rr[s] && rr[9]", "unknown history variable 'rr[9]' (agent {agent})"),
+    ("conflict_free", "kc[7] || rr[s]", "unknown history variable 'kc[7]' (agent {agent})"),
+    # the build path: kc[1] is assigned at time 3, before rr[4] is known
+    ("kc", "rr[s+3]", "unassigned history variable 'rr[4]' read at time 3 (agent C1)"),
+])
+def test_refine_locality_errors_exit_2(capsys, tmp_path, agent, target, expr, message):
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps([{"name": "bad", "target": target, "expr": expr}]))
+    code, out, err = run_cli(capsys, "refine", "--file", str(path), "--agent", agent)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(agent=agent)}\n"
+
+
+def test_synthesize_unknown_agent_exit_2(capsys):
+    code, out, err = run_cli(capsys, "synthesize", "--formula", "K[C1](!conflict(1))",
+                             "--at", "end", "--agent", "C9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown agent 'C9'\n"
+
+
 def test_synthesize_trivial_msg(capsys):
     code, out, _ = run_cli(capsys, "synthesize", "--formula", "K[C1](C1.msg == 1)",
                            "--at", "end")

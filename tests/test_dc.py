@@ -9,6 +9,7 @@ from kbpcheck import dc
 from kbpcheck import formula as fm
 from kbpcheck.engine import AssignKnowledge, AssignLocal, IfKnowledge
 from kbpcheck.model import Point, UsageError
+from scalar import eval_local
 
 
 def holds_at(system, v, phi, time):
@@ -67,25 +68,20 @@ def test_builtin_predicate_table():
 
 def test_kc_guess_reading():
     # requested the slot and its reservation round came back 0: conflict known
-    from kbpcheck import localexpr as le
     pred = dc.builtin_predicate("kc_guess")
-    hist = {"slot_request": 2, "msg": True}
+    hist = {"C1.slot_request": 2, "C1.msg": True}
     hist.update({f"rr[{u}]": False for u in range(1, 7)})
-    v = le.HistoryView("C1", 3, lambda name: hist[name.removeprefix("C1.")])
-    assert le.eval_expr(pred.ast, v, slot=2) is False
+    assert eval_local(pred.ast, "C1", 3, hist, slot=2) is False
     hist2 = dict(hist, **{"rr[2]": True})
-    v2 = le.HistoryView("C1", 3, lambda name: hist2[name.removeprefix("C1.")])
-    assert le.eval_expr(pred.ast, v2, slot=2) is True
-    assert le.eval_expr(pred.ast, v, slot=1) is True     # not my slot
+    assert eval_local(pred.ast, "C1", 3, hist2, slot=2) is True
+    assert eval_local(pred.ast, "C1", 3, hist, slot=1) is True     # not my slot
 
 
 def test_dlvrd_trivial_when_silent():
-    from kbpcheck import localexpr as le
     pred = dc.builtin_predicate("dlvrd_final")
-    hist = {"slot_request": 0, "msg": False}
+    hist = {"C1.slot_request": 0, "C1.msg": False}
     hist.update({f"rr[{u}]": False for u in range(1, 7)})
-    v = le.HistoryView("C1", 6, lambda name: hist[name.removeprefix("C1.")])
-    assert le.eval_expr(pred.ast, v) is True
+    assert eval_local(pred.ast, "C1", 6, hist) is True
 
 
 def test_spec_shapes_and_times():

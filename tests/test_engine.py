@@ -9,8 +9,7 @@ from kbpcheck import dc, engine
 from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
 from kbpcheck.engine import (contribution_matrix, execute_kbp, generate_runs,
-                             initial_vectors, local_view, rr_vector,
-                             verify_kbp_fixpoint)
+                             initial_vectors, rr_vector, verify_kbp_fixpoint)
 from kbpcheck.model import ModelError, Point, UsageError
 from scalar import eval_local_expr, observation_of, run_single
 
@@ -72,6 +71,21 @@ def test_knowledge_statements_rejected_by_generate_runs(scen_unknown):
     kbp_model = dc.build_cdc(dc.DcParams(), kbp=True)
     with pytest.raises(UsageError):
         generate_runs(kbp_model, scen_unknown, "reduced")
+
+
+def test_local_statements_read_the_columns_written_before_them(scen_unknown):
+    # within a step rcvd0[s] is assigned before rcvd1[s], and dlvrd after both:
+    # rcvd0[3] reads rcvd1[3] before the step writes it, dlvrd after
+    preds = dict(dc.final_predicates(),
+                 rcvd0=dc.PredicateDef("copy", "rcvd0", "rcvd1[s]"),
+                 dlvrd=dc.PredicateDef("copy", "dlvrd", "rcvd1[3]"))
+    system = generate_runs(dc.build_cdc(dc.DcParams(), preds), scen_unknown)
+    end = system.horizon
+    for agent in system.agents:
+        assert not system.column(f"{agent}.rcvd0[3]", end).any()
+        rcvd1 = system.column(f"{agent}.rcvd1[3]", end)
+        assert np.array_equal(system.column(f"{agent}.dlvrd", end), rcvd1)
+        assert int(rcvd1.sum()) == 76
 
 
 def test_execute_step_reservation_and_transmission(model3):
@@ -245,8 +259,7 @@ def test_eval_local_expr_over_observation(sys_unknown):
     rr = [hist2.value(f"rr[{u}]") for u in (1, 2, 3)]
     assert rr == [True, False, False]
     cf3 = dc.builtin_predicate("cf3")
-    from kbpcheck import localexpr as le
-    assert eval_local_expr(le.instantiate(cf3.ast, 1), hist2) is True
+    assert eval_local_expr(cf3.ast, hist2, slot=1) is True
 
 
 def test_eval_local_expr_rejects_future_reads(sys_unknown):
@@ -258,26 +271,24 @@ def test_eval_local_expr_rejects_future_reads(sys_unknown):
 def test_observation_and_run_vector_views_agree(sys_unknown):
     # one history's scalar view and the run-vector view of the same time give
     # the same value, and refuse the same too-early reads
-    exprs = [le.instantiate(pred.ast, s) for pred in dc.final_predicates().values()
+    exprs = [(pred.ast, s) for pred in dc.final_predicates().values()
              for s in range(1, 4)]
     runs = random.Random(31).sample(range(sys_unknown.n_runs), 12)
     for t in range(sys_unknown.horizon + 1):
         for agent in sys_unknown.agents:
-            view = local_view(sys_unknown, agent, t)
             vectors = []
-            for expr in exprs:
+            for expr, s in exprs:
                 try:
-                    vectors.append(np.broadcast_to(le.eval_expr(expr, view),
-                                                   sys_unknown.n_runs))
+                    vectors.append(le.eval_expr(expr, sys_unknown, agent, t, s))
                 except ModelError:
                     vectors.append(None)
             if t == sys_unknown.horizon:
                 assert all(v is not None for v in vectors)
             for run in runs:
                 hist = observation_of(sys_unknown, Point(run, t), agent)
-                for expr, vec in zip(exprs, vectors):
+                for (expr, s), vec in zip(exprs, vectors):
                     if vec is None:
                         with pytest.raises(ModelError):
-                            eval_local_expr(expr, hist)
+                            eval_local_expr(expr, hist, slot=s)
                     else:
-                        assert eval_local_expr(expr, hist) == bool(vec[run])
+                        assert eval_local_expr(expr, hist, slot=s) == bool(vec[run])

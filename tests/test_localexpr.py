@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
-from kbpcheck.engine import local_view
-from kbpcheck.model import ModelError, UsageError
+from kbpcheck.model import InterpretedSystem, ModelError, UsageError, VariableDecl
+from scalar import eval_local
+
+
+def flat(name):
+    return name if name.startswith("rr[") else f"C1.{name}"
 
 
 def history(values, time):
-    """C1's view of a dict keyed by its local names (rr[u], kc[s], msg, ...)."""
-    return le.HistoryView("C1", time, lambda name: values[name.removeprefix("C1.")])
+    """C1's history at `time`, from a dict keyed by its local names (rr[u],
+    kc[s], msg, ...): the time and the valuation of its flat names."""
+    return time, {flat(name): value for name, value in values.items()}
 
 
 def view(time=6, **values):
@@ -21,8 +27,13 @@ def view(time=6, **values):
     return history(defaults, time)
 
 
-def ev(text, v=None, slot=None):
-    return le.eval_expr(le.parse_local_expr(text), v or view(), slot=slot)
+def ev(expr, v=None, slot=None):
+    time, valuation = v or view()
+    return eval_local(expr, "C1", time, valuation, slot)
+
+
+def vec(text, system, agent, time):
+    return le.eval_expr(le.parse_local_expr(text), system, agent, time)
 
 
 def test_constants_and_bool_ops():
@@ -71,27 +82,27 @@ def test_reading_future_round_result_is_model_error():
 
 def test_unassigned_bookkeeping_reads_as_false(model3, sys_unknown):
     # the run set stores a latched local as false before the step that
-    # assigns it; the view itself only refuses rr[u] before step u
+    # assigns it; compiling only refuses rr[u] before step u
     for agent in sys_unknown.agents:
         program = model3.programs[agent]
         for name in [f"{b}[{s}]" for b in ("kc", "rcvd0") for s in (1, 2, 3)] + ["dlvrd"]:
             step = program.assignment_step(name)
             for t in range(step):
-                assert not ev(name, local_view(sys_unknown, agent, t)).any()
-            assert ev(name, local_view(sys_unknown, agent, sys_unknown.horizon)).any()
+                assert not vec(name, sys_unknown, agent, t).any()
+            assert vec(name, sys_unknown, agent, sys_unknown.horizon).any()
         for u in range(1, sys_unknown.horizon + 1):
             with pytest.raises(ModelError):
-                ev(f"rr[{u}]", local_view(sys_unknown, agent, u - 1))
+                vec(f"rr[{u}]", sys_unknown, agent, u - 1)
 
 
 def test_unknown_name_is_model_error():
     with pytest.raises(ModelError):
-        le.eval_expr(le.LRef("rr", ("const", 9)), view())
+        ev(le.LRef("rr", ("const", 9)))
 
 
 def test_non_expression_is_a_type_error():
     with pytest.raises(TypeError):
-        le.eval_expr(None, view())
+        ev(None)
 
 
 def test_parse_errors_carry_positions():
@@ -100,12 +111,12 @@ def test_parse_errors_carry_positions():
             le.parse_local_expr(bad)
 
 
-def test_instantiate_grounds_slot():
+def test_to_formula_grounds_slot():
     expr = le.parse_local_expr("rr[s] && slot_request != s && rr[s+3]")
-    ground = le.instantiate(expr, 2)
-    assert "slot" not in repr(ground)
-    v = view(**{"rr[2]": True, "rr[5]": True, "slot_request": 1})
-    assert le.eval_expr(ground, v) is True
+    ground = le.to_formula(expr, "C1", 6, 2)
+    assert fm.fmt(ground) == "rr[2] == 1 && C1.slot_request != 2 && rr[5] == 1"
+    _, valuation = view(**{"rr[2]": True, "rr[5]": True, "slot_request": 1})
+    assert fm.eval_on_valuation(ground, valuation) is True
 
 
 def test_vector_scalar_agreement():
@@ -123,16 +134,22 @@ def test_vector_scalar_agreement():
             "dlvrd": rng.integers(0, 2, n).astype(np.uint8)}
     for u in range(1, 7):
         cols[f"rr[{u}]"] = rng.integers(0, 2, n).astype(np.uint8)
-    vec_view = history(cols, 6)
+    system = InterpretedSystem(("C1",), 6, [
+        VariableDecl(flat(name), tuple(range(4)) if name == "slot_request" else (False, True),
+                     None if name.startswith("rr[") else "C1", frozenset({"C1"}))
+        for name in cols], n)
+    for name, col in cols.items():
+        system.set_const(flat(name), col)
+    system.finalize()
     for text in exprs:
         expr = le.parse_local_expr(text)
         for slot in (1, 2, 3):
-            vec = le.eval_expr(expr, vec_view, slot=slot)
+            vector = le.eval_expr(expr, system, "C1", 6, slot)
             for i in range(0, n, 17):
                 scalar_cols = {k: (bool(v[i]) if k != "slot_request" else int(v[i]))
                                for k, v in cols.items()}
                 sv = history(scalar_cols, 6)
-                assert bool(vec[i]) == bool(le.eval_expr(expr, sv, slot=slot))
+                assert bool(vector[i]) == ev(expr, sv, slot=slot)
 
 
 @given(st.integers(0, 3), st.booleans(), st.lists(st.booleans(), min_size=6, max_size=6),
@@ -143,7 +160,7 @@ def test_guess_chain_monotone_pointwise(sr, msg, rr, slot):
     values = {"slot_request": sr, "msg": msg}
     values.update({f"rr[{u}]": rr[u - 1] for u in range(1, 7)})
     v = history(values, 6)
-    cf = [le.eval_expr(dc.builtin_predicate(name).ast, v, slot=slot)
+    cf = [ev(dc.builtin_predicate(name).ast, v, slot=slot)
           for name in ("cf1", "cf2", "cf3")]
     assert (not cf[0]) or cf[1]
     assert (not cf[1]) or cf[2]

@@ -204,14 +204,15 @@ def test_engines_agree_refuses_a_reduced_system_of_other_runs(model2, scen2, nai
     def no_evaluation(self, phi, time):
         raise AssertionError("evaluated before the systems were checked")
 
+    # one assignment each, but not the same one (built first: a build
+    # evaluates the programs' local expressions)
+    naive = generate_runs(model2, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive")
+    other = reduced_system(model2, dc.pinned_scenario([1, 2, 0], [1, 1, 1], slots=2))
     monkeypatch.setattr(fm.Evaluator, "_compute", no_evaluation)
     suite = [("conflict", dc.conflict_macro(1, slots=2))]
     # 3 slots: 512 runs at horizon 6 against 216 assignments at horizon 4
     with pytest.raises(UsageError, match="does not quotient the naive one"):
         engines_agree(model2, scen2, suite, naive=naive2, reduced=sys_unknown)
-    # one assignment each, but not the same one
-    naive = generate_runs(model2, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive")
-    other = reduced_system(model2, dc.pinned_scenario([1, 2, 0], [1, 1, 1], slots=2))
     with pytest.raises(UsageError, match="does not quotient the naive one"):
         engines_agree(model2, scen2, suite, naive=naive, reduced=other)
 

@@ -102,7 +102,7 @@ def test_refine_kc_with_rebuild(scen_unknown):
         return generate_runs(dc.build_cdc(dc.DcParams(), preds), scen_unknown)
 
     def _as_pred(c):
-        return c if hasattr(c, "ground") else dc.PredicateDef("cand", "kc", c)
+        return c if hasattr(c, "expr_for") else dc.PredicateDef("cand", "kc", c)
 
     chain = [dc.PredicateDef("never", "kc", "false"),
              dc.builtin_predicate("kc_guess")]
