@@ -163,19 +163,19 @@ def _parse_cached(text: str) -> le.LocalExpr:
     return le.parse_local_expr(text)
 
 
-def _cf1_body(n: int) -> str:
-    return f"any t in 1..{n} except s: rr[t]"
+def _cf1_body(n: int, s="s") -> str:
+    return f"any t in 1..{n} except {s}: rr[t]"
 
 
-def _cf2_body(n: int) -> str:
+def _cf2_body(n: int, s="s") -> str:
     # the membership test slot_request in {1..n}\{s} with rr[slot_request]
     # false, written as the equivalent bounded disjunction
-    return (f"({_cf1_body(n)}) || "
-            f"(any t in 1..{n} except s: slot_request == t && !rr[t])")
+    return (f"({_cf1_body(n, s)}) || "
+            f"(any t in 1..{n} except {s}: slot_request == t && !rr[t])")
 
 
-def _cf3_text(n: int) -> str:
-    return f"rr[s] && (({_cf2_body(n)}) || slot_request != s)"
+def _cf3_text(n: int, s="s") -> str:
+    return f"rr[{s}] && (({_cf2_body(n, s)}) || slot_request != {s})"
 
 
 def _quiet_others(n: int) -> str:
@@ -210,13 +210,8 @@ def builtin_predicate(name: str, slots: int = 3) -> PredicateDef:
 
 def _dlvrd_text(n: int) -> str:
     # delivered iff silent, or the agent's own slot is known conflict-free
-    parts = ["slot_request == 0"]
-    for u in range(1, n + 1):
-        cf3_u = (f"rr[{u}] && (((any t in 1..{n} except {u}: rr[t]) || "
-                 f"(any t in 1..{n} except {u}: slot_request == t && !rr[t])) || "
-                 f"slot_request != {u})")
-        parts.append(f"(slot_request == {u} && {cf3_u})")
-    return " || ".join(parts)
+    return " || ".join(["slot_request == 0"] + [
+        f"(slot_request == {u} && {_cf3_text(n, u)})" for u in range(1, n + 1)])
 
 
 def final_predicates(slots: int = 3) -> dict:

@@ -453,15 +453,13 @@ class Evaluator:
         self.memo: dict = {}
 
     def vector(self, phi: Formula, time: int) -> np.ndarray:
-        # a memoized (phi, time) was computed within the horizon
+        # a memoized (phi, time) was computed within the horizon; an X past
+        # the horizon is refused where it is met
         cached = self.memo.get((phi, time))
         if cached is not None:
             return cached
         if not 0 <= time <= self.system.horizon:
             raise UsageError(f"time {time} outside 0..{self.system.horizon}")
-        if time + x_depth(phi) > self.system.horizon:
-            raise UsageError(
-                f"temporal depth of the formula exceeds the horizon at time {time}")
         return self._fill(phi, time)
 
     def evict(self, nodes) -> None:
@@ -499,7 +497,7 @@ class Evaluator:
             return self._vec(phi.left, time) == self._vec(phi.right, time)
         if isinstance(phi, Next):
             if time + 1 > system.horizon:
-                raise UsageError("X evaluated past the horizon")
+                raise UsageError("temporal depth of the formula exceeds the horizon")
             return self._vec(phi.child, time + 1)
         if isinstance(phi, Know):
             body = self._vec(phi.child, time)

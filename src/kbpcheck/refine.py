@@ -2,24 +2,26 @@
 render pair-witness counterexamples, iterate candidate chains, and synthesize
 the exact predicate from the partition itself.
 
-A candidate predicate for agent i at time t is correct when its value equals
-the knowledge formula's value at every time-t point.  A failure has one of two
-directions: the candidate claims knowledge the agent lacks, in which case the
-counterexample carries a second, indistinguishable run disagreeing on the
-formula's body, or the candidate misses knowledge the agent has.
+A candidate predicate for agent i at time t is the K/X-free formula its local
+expression compiles to (candidate_formula), and it is correct when
+`candidate <=> knowledge` is valid at time t.  That is checked like any spec,
+by check_valid_at.  A failure has one of two directions: the candidate claims
+knowledge the agent lacks, in which case the counterexample carries a second
+run, indistinguishable to the agent whose K is false, disagreeing on that K's
+body; or the candidate misses knowledge the agent has.
 
 Synthesis reads the answer off the model: the knowledge formula is constant on
 each observation class, so mapping the class (slot_request, msg, rr prefix —
-which determine the class exactly) to that constant is the predicate sought,
-and plugging it back in passes the equivalence check by construction.  A
-sum-of-products rendering over the same variables is attached when the input
-fits the exact minimizer.
+which determine the class exactly) to that constant is the predicate sought.
+Its printed form is an exact sum-of-products over the same variables, when the
+input fits the minimizer, and that expression is what a synthesized candidate
+is checked by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from . import formula as fm
 from . import localexpr as le
 from . import minimize as mz
 from .engine import contribution_matrix, initial_vectors, rr_vector
-from .model import InterpretedSystem, Point, UsageError
+from .model import InterpretedSystem, UsageError
 
 DIRECTIONS = ("candidate-true-knowledge-false", "knowledge-true-candidate-false")
 
@@ -37,7 +39,6 @@ DIRECTIONS = ("candidate-true-knowledge-false", "knowledge-true-candidate-false"
 
 @dataclass
 class Witness:
-    run: int
     slot_request: list
     msg: list
     contrib: list
@@ -72,7 +73,7 @@ class Counterexample:
 
 def _witness(system: InterpretedSystem, run: int, role: str) -> Witness:
     sr, msg = initial_vectors(system, run)
-    return Witness(run, sr, msg, contribution_matrix(system, run),
+    return Witness(sr, msg, contribution_matrix(system, run),
                    rr_vector(system, run), role)
 
 
@@ -132,20 +133,27 @@ def _render_table(w: Witness) -> list:
 # Candidate evaluation
 
 
-Candidate = Union[str, le.LocalExpr, "SynthesizedPredicate", "object"]
+def candidate_formula(system: InterpretedSystem, candidate, agent: str, time: int,
+                      slot: Optional[int] = None) -> fm.Formula:
+    """The formula a candidate stands for in `agent`'s code at `time`.
+
+    A candidate is the text of a local expression or a predicate with
+    `expr_for(slot)` (PredicateDef, PerSlotPredicate, SynthesizedPredicate).
+    """
+    if isinstance(candidate, str):
+        expr = le.parse_local_expr(candidate)
+    elif hasattr(candidate, "expr_for"):
+        expr = candidate.expr_for(slot)
+    else:
+        raise UsageError(f"not a candidate predicate: {candidate!r}")
+    return le.to_formula(expr, agent, time, slot, system.observable_names(agent))
 
 
-def candidate_values(system: InterpretedSystem, candidate: Candidate, agent: str,
+def candidate_values(system: InterpretedSystem, candidate, agent: str,
                      time: int, slot: Optional[int] = None) -> np.ndarray:
     """Truth vector of a candidate predicate over all runs at `time`."""
-    if isinstance(candidate, SynthesizedPredicate):
-        return candidate.values_on(system)
-    expr = getattr(candidate, "ast", candidate)   # PredicateDef carries .ast
-    if isinstance(expr, str):
-        expr = le.parse_local_expr(expr)
-    if not isinstance(expr, (le.LConst, le.LRef, le.LSlotCmp, le.LNot, le.LBin, le.LAny)):
-        raise UsageError(f"not a candidate predicate: {candidate!r}")
-    return le.eval_expr(expr, system, agent, time, slot)
+    phi = candidate_formula(system, candidate, agent, time, slot)
+    return fm.Evaluator(system).vector(phi, time)
 
 
 @dataclass
@@ -159,33 +167,27 @@ class CandidateVerdict:
         return "holds" if self.holds else "fails"
 
 
-def check_candidate(system: InterpretedSystem, candidate: Candidate,
-                    know_formula: fm.Formula, agent: str, time: int,
-                    slot: Optional[int] = None, name: str = "candidate",
+def check_candidate(system: InterpretedSystem, candidate, know_formula: fm.Formula,
+                    agent: str, time: int, slot: Optional[int] = None,
+                    name: str = "candidate",
                     evaluator: Optional[fm.Evaluator] = None) -> CandidateVerdict:
-    """Does the candidate equal the knowledge formula at every time-t point?
+    """Is `candidate <=> know_formula` valid at time `time`?
 
     On failure reports the first differing run (canonical order), the
     direction of the mismatch, and — whenever the knowledge side is a false
-    K — the indistinguishable run that falsifies its body.
+    K — the run indistinguishable to that K's agent that falsifies its body.
     """
     ev = evaluator or fm.Evaluator(system)
-    cand = candidate_values(system, candidate, agent, time, slot)
-    know = ev.vector(know_formula, time)
-    diff = cand != know
-    if not diff.any():
+    cand = candidate_formula(system, candidate, agent, time, slot)
+    verdict = fm.check_valid_at(system, fm.Iff(cand, know_formula), time, ev)
+    cex = counterexample_from_verdict(system, verdict)
+    if cex is None:
         return CandidateVerdict(True, name)
-    run = int(np.argmax(diff))
-    direction = DIRECTIONS[0] if cand[run] else DIRECTIONS[1]
-    witnesses = [_witness(system, run, "primary")]
-    body = None
-    kw = fm.explain_know_failure(system, know_formula, Point(run, time), ev)
-    if kw is not None:
-        body = fm.fmt(kw.body)
-        if kw.other.run != run:
-            witnesses.append(_witness(system, kw.other.run, "indistinguishable"))
-    cex = Counterexample(f"{name} <=> {fm.fmt(know_formula)}", time, witnesses,
-                         direction=direction, agent=agent, body=body)
+    cex.formula = f"{name} <=> {fm.fmt(know_formula)}"
+    cex.direction = DIRECTIONS[0] if ev.vector(cand, time)[verdict.witness.run] \
+        else DIRECTIONS[1]
+    if len(cex.witnesses) == 1:
+        cex.agent = agent
     return CandidateVerdict(False, name, cex)
 
 # ---------------------------------------------------------------------------
@@ -203,10 +205,6 @@ class RefinementEntry:
 class RefinementReport:
     entries: list
     passed: bool
-
-    @property
-    def final_name(self) -> Optional[str]:
-        return self.entries[-1].name if self.entries else None
 
     def to_json(self) -> dict:
         out = []
@@ -234,18 +232,20 @@ def refine_sequence(system_or_builder, candidates: Sequence, know_formula: fm.Fo
         raise UsageError("empty candidate list")
     entries = []
     passed = False
-    previous = None
+    previous = ev = None
     for candidate in candidates:
         name = getattr(candidate, "name", "candidate")
         system = system_or_builder(candidate) if callable(system_or_builder) \
             else system_or_builder
+        if ev is None or ev.system is not system:
+            ev = fm.Evaluator(system)
         verdict = check_candidate(system, candidate, know_formula, agent, time,
-                                  slot=slot, name=name)
+                                  slot=slot, name=name, evaluator=ev)
         monotone = None
         if previous is not None:
-            prev_vec = candidate_values(system, previous, agent, time, slot)
-            cur_vec = candidate_values(system, candidate, agent, time, slot)
-            monotone = bool(np.all(cur_vec | ~prev_vec))
+            step = fm.Implies(candidate_formula(system, previous, agent, time, slot),
+                              candidate_formula(system, candidate, agent, time, slot))
+            monotone = bool(ev.vector(step, time).all())
         entries.append(RefinementEntry(name, verdict, monotone))
         previous = candidate
         if verdict.holds:
@@ -271,8 +271,7 @@ class SynthesizedPredicate:
     time: int
     slots: int
     mapping: dict                     # key tuple -> bool
-    sop_cubes: Optional[list] = None
-    sop_text: Optional[str] = None
+    sop_text: Optional[str] = None    # None when too wide to minimize
     formula: str = ""
 
     def key_names(self) -> list:
@@ -284,15 +283,12 @@ class SynthesizedPredicate:
         any_key = next(iter(self.mapping))
         return len(any_key) - 2
 
-    def values_on(self, system: InterpretedSystem) -> np.ndarray:
-        keys = _class_keys(system, self.agent, self.time, self.rr_count())
-        out = np.empty(system.n_runs, dtype=bool)
-        for i, key in enumerate(keys):
-            if key not in self.mapping:
-                raise UsageError(
-                    f"observation class {key} not covered by the synthesized predicate")
-            out[i] = self.mapping[key]
-        return out
+    def expr_for(self, slot: Optional[int] = None) -> le.LocalExpr:
+        """The printed sum-of-products; the table itself is not a candidate."""
+        if self.sop_text is None:
+            raise UsageError(f"synthesized predicate for {self.formula} at time "
+                             f"{self.time}: no expression (too wide to minimize)")
+        return le.parse_local_expr(self.sop_text)
 
     def to_json(self) -> dict:
         table = [{"class": list(map(int, key)), "value": bool(v)}
@@ -361,7 +357,6 @@ def _attach_sop(pred: SynthesizedPredicate):
     for key, v in pred.mapping.items():
         if fn(index(key)) != v:
             raise AssertionError("minimized cover disagrees with the truth table")
-    pred.sop_cubes = cubes
     pred.sop_text = _render_sop(cubes, rr_count, sr_bits, pred.slots)
 
 
@@ -392,11 +387,11 @@ def _render_sop(cubes, rr_count, sr_bits, slots) -> str:
     return " || ".join(terms)
 
 
-def diff_candidates(system: InterpretedSystem, left: Candidate, right: Candidate,
-                    agent: str, time: int, slot: Optional[int] = None) -> list:
+def diff_candidates(system: InterpretedSystem, left, right, agent: str, time: int,
+                    slot: Optional[int] = None) -> list:
     """Observation classes on which two candidates disagree, least first."""
-    lv = candidate_values(system, left, agent, time, slot)
-    rv = candidate_values(system, right, agent, time, slot)
+    same = fm.Evaluator(system).vector(
+        fm.Iff(candidate_formula(system, left, agent, time, slot),
+               candidate_formula(system, right, agent, time, slot)), time)
     keys = _class_keys(system, agent, time, min(time, system.horizon))
-    out = sorted({keys[i] for i in np.flatnonzero(lv != rv)})
-    return out
+    return sorted({keys[i] for i in np.flatnonzero(~same)})

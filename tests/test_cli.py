@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -140,6 +141,51 @@ def test_refine_locality_errors_exit_2(capsys, tmp_path, agent, target, expr, me
     assert code == 2
     assert out == ""
     assert err == f"error: {message.format(agent=agent)}\n"
+
+
+def test_refine_pair_is_labelled_with_the_agent_whose_k_is_false(capsys, tmp_path):
+    from conftest import run_of
+    from kbpcheck.cli import build_system
+    always = [{"name": "always", "target": "kc", "expr": "true"}]
+    path = tmp_path / "always.json"
+    path.write_text(json.dumps(always))
+    code, out, _ = run_cli(capsys, "refine", "--file", str(path), "--agent", "C1",
+                           "--slot", "1", "--formula", "K[C2](!conflict(1))",
+                           "--at", "tx:1", "--format", "json")
+    assert code == 1
+    cex = json.loads(out)["candidates"][0]["counterexample"]
+    assert cex["agent"] == "C2"
+    assert len(cex["witnesses"]) == 2
+    _, system = build_system(dc.unknown_scenario(), "speculative",
+                             kc=dc.PredicateDef(**always[0]))
+    runs = [run_of(system, w["slot_request"], w["msg"]) for w in cex["witnesses"]]
+    labels, _ = system.partition_labels("C2", 4)
+    assert labels[runs[0]] == labels[runs[1]]
+
+
+# stdout sha256 and exit code of reports whose every line was checked by hand;
+# any change to them is a change to the tool's output
+PINNED_REPORTS = [
+    (["check", "--spec", "all", "--format", "json"],
+     "a0bc7b6e8ceed0410bcfd93d674a73d2b3bed82a8f862c0d14811b50316554e9", 1),
+    (["check", "--spec", "all", "--format", "json", "--mode", "conservative"],
+     "0a77140d9a9a915a64386b936e8d94dd85e4d0ee80aa8514263ed0288861ab9b", 1),
+    (["check", "--spec", "all", "--format", "json", "--scenario", "referendum"],
+     "4cef431c41e75bfc4ba703a181fa1f5461dbe7f458daf76dcdc19046e2fd13e2", 1),
+    (["synthesize", "--formula", "K[C1](!conflict(1))", "--at", "end"],
+     "8004b00c025c103ec85bfc2acaeebf13d71e67435451bb7a459919cef712289c", 0),
+    (["trace", "--assign", "slot_request=[2,2,2];msg=[1,1,1]"],
+     "e4392699a7196a14b1f61a6923cdf7df05fff3412fce46e8b8e627fcc96bfb85", 0),
+]
+
+
+@pytest.mark.parametrize("argv, digest, rc", PINNED_REPORTS,
+                         ids=[" ".join(argv[:2]) + f"-{i}" for i, (argv, _, _) in
+                              enumerate(PINNED_REPORTS)])
+def test_pinned_report_bytes(capsys, argv, digest, rc):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == rc
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_synthesize_unknown_agent_exit_2(capsys):

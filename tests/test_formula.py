@@ -126,6 +126,15 @@ def test_temporal_depth_beyond_horizon_rejected(sys_unknown):
     fm.Evaluator(sys_unknown).vector(phi, 4)   # fits
 
 
+def test_next_past_the_horizon_rejected_even_over_a_constant(sys_unknown):
+    # a Const reads no column, so only the X clause can refuse this
+    phi = fm.TRUE
+    for _ in range(sys_unknown.horizon + 1):
+        phi = fm.Next(phi)
+    with pytest.raises(UsageError, match="temporal depth of the formula exceeds the horizon"):
+        fm.Evaluator(sys_unknown).vector(phi, 0)
+
+
 def test_check_valid_tautology(sys_unknown):
     phi = parse("K[C2](conflict(1)) || !K[C2](conflict(1))")
     verdict = fm.check_valid_at(sys_unknown, phi, 6)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,8 +193,37 @@ def test_synthesize_own_atom_gives_that_atom(sys_unknown):
     pred = synthesize_predicate(sys_unknown, fm.Know("C1", fm.Atom("C1", "msg", "==", 1)),
                                 "C1", 6)
     assert pred.sop_text == "msg"
-    vec = pred.values_on(sys_unknown)
+    vec = candidate_values(sys_unknown, pred, "C1", 6)
     assert np.array_equal(vec, sys_unknown.column("C1.msg", 0).astype(bool))
+
+
+def test_synthesized_candidate_is_its_printed_expression(sys_unknown):
+    know = fm.Know("C1", fm.Not(dc.conflict_macro(1)))
+    pred = synthesize_predicate(sys_unknown, know, "C1", 6)
+    assert check_candidate(sys_unknown, pred, know, "C1", 6).holds
+    # the check reads the expression, not the table it was printed from
+    wrong = dataclasses.replace(pred, sop_text="true")
+    verdict = check_candidate(sys_unknown, wrong, know, "C1", 6)
+    assert not verdict.holds
+    assert verdict.counterexample.direction == "candidate-true-knowledge-false"
+    with pytest.raises(UsageError, match="no expression"):
+        check_candidate(sys_unknown, dataclasses.replace(pred, sop_text=None),
+                        know, "C1", 6)
+
+
+def test_check_candidate_accepts_per_slot_predicate(kbp_systems):
+    from kbpcheck.cli import conservative_kc_predicate
+    _, ksys = kbp_systems["conservative"]
+    pred = conservative_kc_predicate(dc.unknown_scenario())
+    assert isinstance(pred, dc.PerSlotPredicate)
+    for s in (1, 2, 3):
+        know, t = dc.target_formula("kc", "C1", s, 3, "conservative")
+        assert check_candidate(ksys, pred, know, "C1", t, slot=s).holds
+
+
+def test_candidate_of_unknown_type_rejected(sys_unknown):
+    with pytest.raises(UsageError, match="not a candidate predicate"):
+        check_candidate(sys_unknown, 42, fm.TRUE, "C1", 6)
 
 
 def test_synthesize_rejects_non_local_formula(sys_unknown):
