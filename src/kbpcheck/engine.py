@@ -239,14 +239,14 @@ def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: list,
     """Set the initial and latched traces, each initial assignment repeated
     `repeat` times; returns the latched arrays, which the loop fills in place."""
     latched = {}
+    initial = np.asarray(vs, dtype=np.uint8)    # assignment x (slot_request, msg) x agent
     for i, a in enumerate(model.agents):
         program = model.programs[a]
         for name in program.locals_:
             flat = f"{a}.{name}"
             if name in ("slot_request", "msg"):
                 k = 0 if name == "slot_request" else 1
-                col = np.array([int(v[k][i]) for v in vs], dtype=np.uint8).repeat(repeat)
-                system.set_const(flat, col)
+                system.set_const(flat, initial[:, k, i].repeat(repeat))
                 continue
             step = program.assignment_step(name)
             arr = np.zeros(system.n_runs, dtype=np.uint8)
@@ -293,7 +293,7 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
     if naive:
         meta["n_key_schedules"] = n_keys
     system = InterpretedSystem(model.agents, T, _declare(model, engine_mode, coarse), n,
-                               meta=meta)
+                               meta=meta, branching=2 ** len(edges) if naive else 1)
     latched = _init_locals(model, system, vs, n_keys)
 
     def step_var(name):
@@ -303,7 +303,8 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
 
     if naive:
         # key schedule kappa = run % n_keys; bit (step, edge) of kappa, step-1/edge-0
-        # least significant; runs are ordered by assignment first, then schedule
+        # least significant; runs are ordered by assignment first, then schedule,
+        # which is the history-class layout of branching 2^len(edges) (model)
         kappa = np.tile(np.arange(n_keys, dtype=np.int64), len(vs))
         keys = {name: step_var(name) for name in edges}
         for t in range(1, T + 1):

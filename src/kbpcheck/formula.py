@@ -17,8 +17,15 @@ study, dc.dc_macros()), it is not read off a model.
 Evaluation follows the standard clauses: an atom reads the valuation, X moves
 one step forward, and K[A](phi) holds at a point iff phi holds at every point
 in agent A's indistinguishability block.  A body that is constant over all
-runs is its own K: every block agrees with it.  Evaluation is vectorized over
-all runs at a time and memoized per (node, time) within one Evaluator.  The memo
+runs is its own K: every block agrees with it.  Evaluation is vectorized and
+memoized per (node, time) within one Evaluator.  It runs on class vectors,
+one value per history class (model's docstring): runs that share their
+global history up to t agree at t on every formula of X-depth 0, and a
+formula of X-depth d at t is read at level at most t + d.  An atom reads its
+column at the level of its trace kind, a binary node widens its shorter
+operand, and K at t reads the time-t class labels, after narrowing a deeper
+body to level t with `any` over the continuations of its falsified classes.
+`vector` widens the result to one value per run.  The memo
 lives as long as its Evaluator, except where the caller knows a node is dead:
 the engine-agreement oracle drops each node's entries after the last formula
 of its suite that contains the node.  Nodes compute their hash once, so a memo
@@ -441,7 +448,7 @@ def parse_formula(text: str, model=None, macros: Optional[MacroTable] = None) ->
 
 
 class Evaluator:
-    """Vectorized evaluator over one system; memoizes per (node, time).
+    """Vectorized evaluator over one system; memoizes class vectors per (node, time).
 
     Entries stay until `evict` drops them: the engine-agreement oracle evicts
     each node after the last formula of its suite that contains it, so that
@@ -453,6 +460,12 @@ class Evaluator:
         self.memo: dict = {}
 
     def vector(self, phi: Formula, time: int) -> np.ndarray:
+        """Truth of phi at time `time`, one value per run."""
+        return self.system.widen(self.classes(phi, time))
+
+    def classes(self, phi: Formula, time: int) -> np.ndarray:
+        """Truth of phi at time `time`, one value per history class; the
+        length says the level (see the module docstring)."""
         # a memoized (phi, time) was computed within the horizon; an X past
         # the horizon is refused where it is met
         cached = self.memo.get((phi, time))
@@ -481,31 +494,38 @@ class Evaluator:
     def _compute(self, phi, time):
         system = self.system
         if isinstance(phi, Const):
-            return np.full(system.n_runs, phi.value, dtype=bool)
+            return np.full(system.n_classes(0), phi.value, dtype=bool)
         if isinstance(phi, Atom):
-            col = system.column(phi.name, time)
+            col = system.class_column(phi.name, time)
             return (col == phi.value) if phi.op == "==" else (col != phi.value)
         if isinstance(phi, Not):
             return ~self._vec(phi.child, time)
-        if isinstance(phi, And):
-            return self._vec(phi.left, time) & self._vec(phi.right, time)
-        if isinstance(phi, Or):
-            return self._vec(phi.left, time) | self._vec(phi.right, time)
-        if isinstance(phi, Implies):
-            return ~self._vec(phi.left, time) | self._vec(phi.right, time)
-        if isinstance(phi, Iff):
-            return self._vec(phi.left, time) == self._vec(phi.right, time)
+        if isinstance(phi, (And, Or, Implies, Iff)):
+            left, right = self._vec(phi.left, time), self._vec(phi.right, time)
+            if len(left) != len(right):
+                size = max(len(left), len(right))
+                left, right = system.widen(left, size), system.widen(right, size)
+            if isinstance(phi, And):
+                return left & right
+            if isinstance(phi, Or):
+                return left | right
+            if isinstance(phi, Implies):
+                return ~left | right
+            return left == right
         if isinstance(phi, Next):
             if time + 1 > system.horizon:
                 raise UsageError("temporal depth of the formula exceeds the horizon")
             return self._vec(phi.child, time + 1)
         if isinstance(phi, Know):
             body = self._vec(phi.child, time)
-            labels, n_blocks = system.partition_labels(phi.agent, time)
+            labels, n_blocks = system.class_labels(phi.agent, time)
             if body.all() or not body.any():
                 return body     # constant: its own K (the agent is checked above)
+            false = ~body
+            if len(false) > len(labels):    # X in the body: any continuation falsifies
+                false = system.any_within(false, len(labels))
             tainted = np.zeros(n_blocks, dtype=bool)
-            tainted[labels[~body]] = True
+            tainted[labels[system.widen(false, len(labels))]] = True
             return ~tainted[labels]
         raise TypeError(f"not a formula node: {phi!r}")
 

@@ -14,6 +14,18 @@ the exhaustive key-enumeration engine.  Every read serves that vector form:
 a column holds one value per run, and partitions are dense block labels per
 run.  A question about one point indexes those vectors; the per-point
 histories the tests compare the labels against live in the test suite.
+
+History classes.  A system of branching b holds groups * b^T runs, ordered
+run = a * b^T + kappa: each step draws one of b values, and the step-1 draw
+is the least significant digit of kappa.  The runs that share their global
+history up to time t form a history class, (a, kappa mod b^t): there are
+groups * b^t classes at t, numbered in the order of their least runs.  A
+class vector at level t holds one value per class at t, so its length says
+its level.  finalize checks that every trace is constant within the classes
+of the level its kind fixes: 0 for a const trace, t for a step trace at t,
+the latch time for a latched one.  Partitions are grouped once per (agent,
+time), over class vectors.  The reduced engine has b = 1: its classes are
+its runs.
 """
 
 from __future__ import annotations
@@ -89,23 +101,37 @@ class _Trace:
             return self.values[t]
         return self.values if t >= self.latch_time else self.before
 
+    def level(self, t: int) -> int:
+        """The time whose global history fixes the value read at t."""
+        if self.kind == "step":
+            return t
+        return self.latch_time if self.kind == "latched" and t >= self.latch_time else 0
+
 
 class InterpretedSystem:
     """A finite set of bounded synchronous runs plus per-agent observability.
 
     Immutable after construction; all reads (columns, partitions, formula
     evaluation) are pure, so concurrent use is safe.  Partition labels are
-    memoized per (agent, time).
+    memoized per (agent, time), one per history class.  `branching` is the
+    number of values each step draws (the naive engine's key bits); it lays
+    out the history classes of the module docstring.
     """
 
     def __init__(self, agents: Sequence[str], horizon: int,
                  variables: Sequence[VariableDecl], n_runs: int,
-                 meta: Optional[dict] = None):
+                 meta: Optional[dict] = None, branching: int = 1):
         if horizon < 0:
             raise UsageError("horizon must be >= 0")
+        if branching < 1 or n_runs % branching ** horizon:
+            raise ModelError(f"{n_runs} runs do not split into histories of branching "
+                             f"{branching} over {horizon} steps")
         self.agents = tuple(agents)
         self.horizon = horizon
         self.n_runs = n_runs
+        self.branching = branching
+        self._schedules = branching ** horizon     # runs per level-0 class
+        self._groups = n_runs // self._schedules
         self.variables = {}
         for decl in variables:
             if decl.name in self.variables:
@@ -165,6 +191,15 @@ class InterpretedSystem:
             present = set(np.unique(values).tolist())
             if not present <= allowed:
                 raise ModelError(f"values of {name!r} outside its domain: {sorted(present - allowed)}")
+        if self.branching > 1:
+            for name, trace in self._traces.items():
+                times = range(self.horizon + 1) if trace.kind == "step" else (self.horizon,)
+                for t in times:
+                    width = self.branching ** trace.level(t)
+                    blocks = trace.at(t).reshape(self._groups, self._schedules // width, width)
+                    if not (blocks[:, 1:] == blocks[:, :1]).all():
+                        raise ModelError(f"trace {name!r} differs within a history class "
+                                         f"at time {t}")
         return self
 
     # reads ---------------------------------------------------------------
@@ -179,6 +214,33 @@ class InterpretedSystem:
             raise UsageError(f"time {time} outside 0..{self.horizon}")
         return trace.at(time)
 
+    def class_column(self, name: str, time: int) -> np.ndarray:
+        """The column at `time` as a class vector, at the level its trace
+        kind fixes (the least run of each class stands for the class)."""
+        col = self.column(name, time)
+        if self._schedules == 1:
+            return col
+        width = self.branching ** self._traces[name].level(time)
+        return col.reshape(self._groups, self._schedules // width, width)[:, 0].reshape(-1)
+
+    def n_classes(self, time: int) -> int:
+        return self._groups * self.branching ** time
+
+    def widen(self, values: np.ndarray, size: Optional[int] = None) -> np.ndarray:
+        """A class vector spread to `size` classes (default: one per run):
+        every finer class takes the value of the class that contains it."""
+        size = self.n_runs if size is None else size
+        if len(values) == size:
+            return values
+        g = self._groups
+        return np.broadcast_to(values.reshape(g, 1, -1),
+                               (g, size // len(values), len(values) // g)).reshape(-1)
+
+    def any_within(self, values: np.ndarray, size: int) -> np.ndarray:
+        """A class vector narrowed to the `size` classes of a coarser level:
+        a class is set when any of its continuations is."""
+        return values.reshape(self._groups, -1, size // self._groups).any(axis=1).reshape(-1)
+
     def observable_names(self, agent: str) -> tuple:
         self._check_agent(agent)
         return self._obs_names[agent]
@@ -186,10 +248,17 @@ class InterpretedSystem:
     # partitions ----------------------------------------------------------
 
     def partition_labels(self, agent: str, time: int):
-        """Dense block labels for the time-t points, refined incrementally.
+        """Dense block labels for the time-t points, one per run: the class
+        labels widened to the runs."""
+        labels, n = found = self.class_labels(agent, time)
+        return found if len(labels) == self.n_runs else (self.widen(labels), n)
 
-        Labels at time t group runs by equality of the primitive observation
-        records at times 0..t; label numbering is by least member run.
+    def class_labels(self, agent: str, time: int):
+        """Dense block labels per history class at `time`, refined incrementally.
+
+        Labels at time t group the classes by equality of the primitive
+        observation records at times 0..t; label numbering is by least member
+        class, which is numbering by least member run.
         """
         self._check_agent(agent)
         if not 0 <= time <= self.horizon:
@@ -199,15 +268,15 @@ class InterpretedSystem:
             return self._labels_cache[key]
         names = self._basis(agent)
         if time == 0:
-            labels, n = self._group([self.column(n, 0) for n in names],
+            labels, n = self._group([self.class_column(n, 0) for n in names],
                                     [self.variables[n].bits() for n in names], None)
         else:
             # the previous labels already split the runs by the const records
             names = [n for n in names if self._traces[n].kind == "step"]
-            prev, n_prev = self.partition_labels(agent, time - 1)
-            cols = [self.column(n, time) for n in names]
+            prev, n_prev = self.class_labels(agent, time - 1)
+            cols = [self.class_column(n, time) for n in names]
             bits = [self.variables[n].bits() for n in names]
-            labels, n = self._group(cols, bits, (prev, n_prev))
+            labels, n = self._group(cols, bits, (self.widen(prev, self.n_classes(time)), n_prev))
         self._labels_cache[key] = (labels, n)
         return labels, n
 

@@ -12,8 +12,11 @@ own two keys, and nothing more (the one key it does not hold masks the other
 two contributions down to their xor).  The reduced engine stores that pair
 as the step columns {agent}.contrib and {agent}.oxr, which its partitions
 read.  For key-free formulas the engines give the same truth values;
-engines_agree checks that claim formula by formula and time by time, on whole
-run vectors compared point by point under the run projection.
+engines_agree checks that claim formula by formula and time by time, for
+every naive run under the run projection.  It compares class vectors: the
+naive runs that share their global history up to the level of a formula's
+vector share its value (model's docstring), so each class is compared once
+against the reduced run of its assignment.
 """
 
 from __future__ import annotations
@@ -122,9 +125,12 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
 
     Pointwise: each naive run projects to the reduced run with the same
     initial assignment; truth values must match run by run, which subsumes
-    verdict agreement.  Any divergence is recorded, not raised — it is a test
-    failure, not a runtime error.  A reduced system that is not the quotient
-    of the naive one (other assignments, run count or horizon) is refused.
+    verdict agreement.  The runs of a history class share their value, so
+    each naive class is compared once, and a mismatch names the least run
+    of the first differing class, which is the first differing run.  Any
+    divergence is recorded, not raised — it is a test failure, not a runtime
+    error.  A reduced system that is not the quotient of the naive one
+    (other assignments, run count or horizon) is refused.
 
     Each node's memoized vectors are dropped once the last suite formula that
     contains the node has been compared: the same vectors are computed as
@@ -154,17 +160,19 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
     for i, (name, phi) in enumerate(suite):
         depth = fm.x_depth(phi)
         for time in range(0, naive.horizon - depth + 1):
-            vec_n = ev_naive.vector(phi, time)
-            vec_r = ev_reduced.vector(phi, time)
+            vec_n = ev_naive.classes(phi, time)
+            vec_r = ev_reduced.classes(phi, time)
             report.checks += 1
             report.points_compared += naive.n_runs
-            # naive runs are assignment-major: row a holds assignment a's key schedules
-            diff = vec_n.reshape(-1, n_keys) != vec_r[:, None]
+            # naive classes are assignment-major: row a holds assignment a's k
+            # classes, and class c's least run is (c // k) * n_keys + c % k
+            k = len(vec_n) // len(vec_r)
+            diff = vec_n.reshape(-1, k) != vec_r[:, None]
             if diff.any():
-                run = int(np.argmax(diff))
+                c = int(np.argmax(diff))
                 report.mismatches.append(
-                    Mismatch(name, fm.fmt(phi), time, run,
-                             bool(vec_n[run]), bool(vec_r[run // n_keys])))
+                    Mismatch(name, fm.fmt(phi), time, (c // k) * n_keys + c % k,
+                             bool(vec_n[c]), bool(vec_r[c // k])))
         dead = {sub for sub in fm.subformulas(phi) if last_use[sub] == i}
         ev_naive.evict(dead)
         ev_reduced.evict(dead)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import brute
 from conftest import run_of
-from kbpcheck import dc
+from kbpcheck import dc, engine, reduction
 from kbpcheck import formula as fm
 from kbpcheck.model import Point, UsageError
 from kbpcheck.reduction import random_formulas
@@ -210,7 +210,9 @@ def test_know_of_a_constant_body_is_the_block_kernel(naive2, reduced2):
                     tainted[labels[~body_vec]] = True
                     know = ev.vector(fm.Know(agent, body), time)
                     assert np.array_equal(know, ~tainted[labels])
-                    assert (know is body_vec) == constant   # shared, not copied
+                    # shared, not copied: the memo holds one class vector for both
+                    assert (ev.classes(fm.Know(agent, body), time)
+                            is ev.classes(body, time)) == constant
 
 
 def test_know_of_a_constant_body_still_checks_the_agent(reduced2):
@@ -224,3 +226,85 @@ def test_eval_on_valuation():
     assert not fm.eval_on_valuation(phi, {"C1.slot_request": 1, "C2.msg": 0})
     with pytest.raises(UsageError):
         fm.eval_on_valuation(fm.Know("C1", phi), {})
+
+
+def _run_width_vector(system, phi, time):
+    """Every node over all runs, K through the run-indexed partition labels."""
+    if isinstance(phi, fm.Const):
+        return np.full(system.n_runs, phi.value, dtype=bool)
+    if isinstance(phi, fm.Atom):
+        col = system.column(phi.name, time)
+        return (col == phi.value) if phi.op == "==" else (col != phi.value)
+    if isinstance(phi, fm.Not):
+        return ~_run_width_vector(system, phi.child, time)
+    if isinstance(phi, fm.Next):
+        return _run_width_vector(system, phi.child, time + 1)
+    if isinstance(phi, fm.Know):
+        body = _run_width_vector(system, phi.child, time)
+        labels, n_blocks = system.partition_labels(phi.agent, time)
+        tainted = np.zeros(n_blocks, dtype=bool)
+        tainted[labels[~body]] = True
+        return ~tainted[labels]
+    left = _run_width_vector(system, phi.left, time)
+    right = _run_width_vector(system, phi.right, time)
+    if isinstance(phi, fm.And):
+        return left & right
+    if isinstance(phi, fm.Or):
+        return left | right
+    if isinstance(phi, fm.Implies):
+        return ~left | right
+    return left == right
+
+
+def _run_width_labels(system, agent, time):
+    """Runs grouped by every observable column at times 0..time, numbered by
+    least member run."""
+    matrix = np.stack([system.column(name, u) for u in range(time + 1)
+                       for name in system.observable_names(agent)], axis=1)
+    first = {}
+    labels = [first.setdefault(row.tobytes(), len(first)) for row in matrix]
+    return np.array(labels), len(first)
+
+
+def _naive_system(model2, kind):
+    """The restricted 2-slot naive scenario (8 assignments), or a pinned KBP
+    built on the naive engine."""
+    if kind == "restricted":
+        scen = dc.custom_scenario("C1.slot_request == 1 && C2.slot_request == 2 "
+                                  "&& C3.slot_request == 0")
+        return engine.generate_runs(model2, scen, "naive")
+    model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
+    return engine._build(model, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive",
+                         knowledge=True)
+
+
+@pytest.mark.parametrize("kind", ["restricted", "pinned-kbp"])
+def test_class_vectors_widen_to_the_run_width_semantics(model2, kind):
+    system = _naive_system(model2, kind)
+    assert system.branching == 8 and system.n_runs > 1
+    for agent in system.agents:
+        for t in range(system.horizon + 1):
+            labels, n_blocks = system.partition_labels(agent, t)
+            expected, n_expected = _run_width_labels(system, agent, t)
+            assert n_blocks == n_expected
+            assert np.array_equal(labels, expected)
+    # every atom of the system, keys and raw announcements included
+    atoms = [fm.Atom(agent or None, var, op, int(value))
+             for name, decl in system.variables.items()
+             for agent, _, var in [name.rpartition(".")]
+             for value in decl.domain for op in ("==", "!=")]
+    rng = random.Random(29)
+    formulas = [reduction._gen(rng, atoms, list(system.agents), 4) for _ in range(60)]
+    # K of a next-step key bit: only the continuations whose digit is not 0
+    # falsify it, and no agent sees the bit before it is drawn
+    formulas += [fm.Know(agent, fm.Next(fm.Atom(None, "k12", "==", 0)))
+                 for agent in system.agents]
+    ev = fm.Evaluator(system)
+    knows = [sub for phi in formulas for sub in fm.subformulas(phi) if isinstance(sub, fm.Know)]
+    assert {k.agent for k in knows} == set(system.agents)
+    assert any(isinstance(sub, fm.Know) for k in knows for sub in fm.subformulas(k.child))
+    assert any(isinstance(sub, fm.Next) for k in knows for sub in fm.subformulas(k.child))
+    for phi in formulas:
+        for t in range(system.horizon - fm.x_depth(phi) + 1):
+            assert np.array_equal(ev.vector(phi, t), _run_width_vector(system, phi, t)), \
+                (fm.fmt(phi), t)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,14 @@ def test_state_and_run_views(sys_unknown):
 def test_pinned_single_run_count(model3):
     system = generate_runs(model3, dc.pinned_scenario([2, 2, 2], [1, 1, 1]), "reduced")
     assert system.n_runs == 1
+
+
+@pytest.mark.parametrize("name", ["k12", "said[2]"])
+def test_finalize_refuses_a_trace_that_differs_within_a_history_class(model2, name):
+    system = generate_runs(model2, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive")
+    assert system.branching == 8 and system.finalize() is system
+    # runs 7 and 4095 share their step-1 key bits, hence their history up to time 1
+    system.column(name, 1)[4095] ^= 1
+    with pytest.raises(ModelError, match=rf"{re.escape(repr(name))} differs within a "
+                                         r"history class at time 1$"):
+        system.finalize()

@@ -171,18 +171,22 @@ def test_mismatch_names_the_first_differing_run_and_both_values(model2, monkeypa
     scen = restricted_scenario()
     naive = generate_runs(model2, scen, "naive")
     reduced = reduced_system(model2, scen)
-    run = 5 * naive.meta["n_key_schedules"] + 1234     # inside assignment 5's key schedules
-    vector = fm.Evaluator.vector
+    # at time 1 the formula has 8 history classes per assignment; flip two of
+    # assignment 5's, so the report names the least run of the first one
+    suite = [("conflict-or-rr", fm.Or(dc.conflict_macro(1, slots=2),
+                                      fm.Atom(None, "rr[1]", "==", 1)))]
+    run = 5 * naive.meta["n_key_schedules"] + 3
+    classes = fm.Evaluator.classes
 
     def flipped(self, phi, time):
-        out = vector(self, phi, time)
+        out = classes(self, phi, time)
         if self.system is naive and time == 1:
+            assert len(out) == 8 * 8
             out = out.copy()
-            out[[run, run + 7]] ^= True
+            out[[5 * 8 + 3, 5 * 8 + 6]] ^= True
         return out
 
-    monkeypatch.setattr(fm.Evaluator, "vector", flipped)
-    suite = [("conflict", dc.conflict_macro(1, slots=2))]
+    monkeypatch.setattr(fm.Evaluator, "classes", flipped)
     report = engines_agree(model2, scen, suite, naive=naive, reduced=reduced)
     truth = bool(fm.Evaluator(reduced).vector(suite[0][1], 1)[5])
     assert [(m.time, m.run, m.naive_value, m.reduced_value) for m in report.mismatches] \
