@@ -21,7 +21,7 @@ import sys
 from . import dc
 from . import formula as fm
 from . import reduction
-from .engine import ENGINE_MODES, execute_kbp, generate_runs, reduced_system
+from .engine import ENGINE_MODES, generate_runs, reduced_system
 from .model import ModelError, UsageError
 from .refine import (check_candidate, counterexample_from_verdict,
                      refine_sequence, render_counterexample, render_run_table,
@@ -148,9 +148,9 @@ def build_system(scenario, mode, engine="reduced", kc=None):
     return model, generate_runs(model, scenario, engine)
 
 
-def kbp_system(scenario, mode):
+def kbp_system(scenario, mode, engine="reduced"):
     """Run set of the knowledge-based program."""
-    return execute_kbp(dc.build_cdc(dc.DcParams(mode=mode), kbp=True), scenario)
+    return generate_runs(dc.build_cdc(dc.DcParams(mode=mode), kbp=True), scenario, engine)
 
 
 def conservative_kc_predicate(scenario):
@@ -172,6 +172,8 @@ def emit_json(payload) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.slot is not None and args.spec in ("5", "6"):
+        raise UsageError(f"spec {args.spec} ranges over no slot; drop --slot")
     scenario, mode = resolve_scenario(args)
     model, system = build_system(scenario, mode, args.engine)
     spec_ids = list(dc.SPEC_IDS) if args.spec == "all" else [args.spec]
@@ -259,7 +261,7 @@ def parse_at(text: str, slots: int = dc.DcParams.slots) -> int:
 def cmd_synthesize(args) -> int:
     scenario, mode = resolve_scenario(args)
     if mode == "conservative":
-        system = kbp_system(scenario, mode)
+        system = kbp_system(scenario, mode, args.engine)
     else:
         _, system = build_system(scenario, mode, args.engine)
     slots = system.meta["slots"]

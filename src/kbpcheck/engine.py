@@ -19,13 +19,14 @@ assignments.  Two observation models plug into it:
               each agent observes, per step, its own contribution and the xor
               of the others' contributions.
 
-generate_runs builds knowledge-free programs on either model, reduced_system
-exposes the oracle's deliberately coarse variant, and execute_kbp runs
-knowledge-based programs on the reduced model time-inductively: the run
-prefixes up to step t determine each agent's partition at t, which resolves
-every present-time knowledge test at t; verify_kbp_fixpoint re-checks them
-in a built run set of either engine.  Every program local but slot_request
-and msg reads false until the step that assigns it.
+generate_runs builds any program on either model, reduced_system exposes
+the oracle's deliberately coarse variant, and execute_kbp is the reduced
+build by its knowledge-based name.  Knowledge tests are resolved
+time-inductively: the run prefixes up to step t determine each agent's
+partition at t, which resolves every present-time knowledge test at t;
+verify_kbp_fixpoint re-checks them in a built run set of either engine.
+Every program local but slot_request and msg reads false until the step
+that assigns it.
 
 Announcements and local assignments are local expressions, compiled to
 formulas and evaluated by the formula evaluator, one fresh Evaluator per
@@ -130,15 +131,6 @@ class ProtocolModel:
         return self.agents.index(agent) + 1
 
 
-def has_knowledge_statements(program: AgentProgram) -> bool:
-    for block in program.phases:
-        if isinstance(block.announce, IfKnowledge):
-            return True
-        if any(isinstance(s, AssignKnowledge) for s in block.post):
-            return True
-    return False
-
-
 def _validate_present_time(program: AgentProgram):
     for block in program.phases:
         if isinstance(block.announce, IfKnowledge) and fm.x_depth(block.announce.test):
@@ -182,24 +174,21 @@ def admissible_assignments(model: ProtocolModel, scenario: Scenario):
 
 def generate_runs(model: ProtocolModel, scenario: Scenario, engine_mode: str = "reduced",
                   max_naive_runs: int = 4_000_000) -> InterpretedSystem:
-    """Run set of a concrete (knowledge-free) protocol under a scenario.
+    """Run set of a protocol, concrete or knowledge-based, under a scenario.
 
     naive mode: one run per (initial assignment x key schedule), exhaustively.
     reduced mode: one run per initial assignment; agent observations are the
     per-step pairs (own contribution, xor of the others' contributions) —
     everything a ring member can reconstruct from announcements and its own
-    keys, and nothing more.
+    keys, and nothing more.  Knowledge tests must be present-time; each is
+    resolved against the partitions of the run prefixes built so far.
     """
     return _build(model, scenario, engine_mode, max_naive_runs=max_naive_runs)
 
 
 def execute_kbp(model: ProtocolModel, scenario: Scenario) -> InterpretedSystem:
-    """Behaviorally unique run set of a knowledge-based program.
-
-    Knowledge tests must be present-time; they are resolved step by step
-    against the partitions of the run prefixes generated so far.
-    """
-    return _build(model, scenario, "reduced", knowledge=True)
+    """Behaviorally unique run set of a knowledge-based program: its reduced build."""
+    return _build(model, scenario, "reduced")
 
 
 def reduced_system(model: ProtocolModel, scenario: Scenario,
@@ -263,19 +252,10 @@ def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: list,
 
 
 def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
-           knowledge: bool = False, coarse: bool = False,
-           max_naive_runs: int = 4_000_000) -> InterpretedSystem:
-    """The lock-step loop shared by both observation models.
-
-    With knowledge, knowledge tests are resolved against the partitions of
-    the run prefixes built so far; without, programs must be knowledge-free.
-    """
+           coarse: bool = False, max_naive_runs: int = 4_000_000) -> InterpretedSystem:
+    """The lock-step loop shared by both observation models."""
     for a in model.agents:
-        if knowledge:
-            _validate_present_time(model.programs[a])
-        elif has_knowledge_statements(model.programs[a]):
-            raise UsageError(
-                "knowledge statements present; use execute_kbp or plug in concrete predicates")
+        _validate_present_time(model.programs[a])
     if engine_mode not in ENGINE_MODES:
         raise UsageError(f"unknown engine mode {engine_mode!r} (use 'naive' or 'reduced')")
     naive = engine_mode == "naive"
@@ -288,8 +268,7 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
         raise UsageError(
             f"naive engine would enumerate {n:,} runs (> {max_naive_runs:,}); "
             f"use the reduced engine, or raise max_naive_runs explicitly")
-    meta = {"engine": engine_mode, "scenario": scenario.name, "slots": model.slots,
-            "assignments": vs}
+    meta = {"slots": model.slots, "assignments": vs}
     if naive:
         meta["n_key_schedules"] = n_keys
     system = InterpretedSystem(model.agents, T, _declare(model, engine_mode, coarse), n,
@@ -332,7 +311,7 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
                 oxr[a][step] = rr ^ contrib[a][step]
             return rr
 
-    evaluator = fm.Evaluator(system) if knowledge else None
+    evaluator = fm.Evaluator(system)
     for step in range(1, T + 1):
         # announcements read the time step-1 view only, so writing one agent's
         # contribution at `step` cannot affect another's
@@ -351,7 +330,7 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
 
 
 def _announce(model: ProtocolModel, system: InterpretedSystem, agent: str, step: int,
-              evaluator: Optional[fm.Evaluator]) -> np.ndarray:
+              evaluator: fm.Evaluator) -> np.ndarray:
     """The agent's contribution bits at `step`, from its view at step - 1."""
     stmt = model.programs[agent].phases[step - 1].announce
     if isinstance(stmt, Announce):

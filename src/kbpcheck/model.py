@@ -283,7 +283,7 @@ class InterpretedSystem:
     def _basis(self, agent):
         """The agent's primitive observations: its const and step traces.
         Computed once, so every trace must be set before partitions are read
-        (execute_kbp reads them mid-build, after setting every trace)."""
+        (knowledge tests read them mid-build, after every trace is set)."""
         names = self._obs_basis.get(agent)
         if names is None:
             names = tuple(n for n in self._obs_names[agent]

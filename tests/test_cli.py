@@ -55,8 +55,21 @@ def test_check_narrow_to_agent_slot(capsys):
     assert out.strip().splitlines()[0] == "spec 4b agent C2 slot 3 time 6: HOLDS"
 
 
-@pytest.mark.parametrize("narrowing", [("--slot", "0"), ("--slot", "4"), ("--agent", "")])
-@pytest.mark.parametrize("spec", ["1s", "all"])
+def test_check_all_narrowed_to_a_slot_keeps_the_slotless_specs(capsys):
+    code, out, _ = run_cli(capsys, "check", "--spec", "all", "--slot", "2")
+    assert code == 1     # specs 2 and 3 fail
+    lines = out.splitlines()
+    assert "spec 5 agent C1 time 6: HOLDS" in lines
+    assert "spec 6 agent C3 time 6: HOLDS" in lines
+    assert not any(" slot 1 " in line or " slot 3 " in line for line in lines)
+
+
+NARROWINGS = {f"{spec}-narrowing{i}": (spec, narrowing) for spec in ("1s", "all")
+              for i, narrowing in enumerate([("--slot", "0"), ("--slot", "4"), ("--agent", "")])}
+NARROWINGS.update({f"{spec}-slot": (spec, ("--slot", "2")) for spec in ("5", "6")})
+
+
+@pytest.mark.parametrize("spec, narrowing", NARROWINGS.values(), ids=NARROWINGS.keys())
 def test_check_rejects_narrowing_to_nothing(capsys, spec, narrowing):
     code, out, err = run_cli(capsys, "check", "--spec", spec, *narrowing)
     assert code == 2
@@ -223,6 +236,23 @@ def test_synthesize_conservative_kc(capsys):
     golden = json.loads((GOLDEN / "conservative_kc.json").read_text())
     assert payload["table"] == golden["synthesized_kc"]["1"]["table"]
     assert payload["expr"] == golden["synthesized_kc"]["1"]["expr"]
+
+
+def test_synthesize_conservative_refuses_naive_unknown(capsys):
+    code, out, err = run_cli(capsys, "synthesize", "--formula", "K[C1](!conflict(1))",
+                             "--at", "end", "--mode", "conservative", "--engine", "naive")
+    assert code == 2
+    assert out == ""
+    assert "naive engine would enumerate 134,217,728 runs" in err
+
+
+def test_synthesize_conservative_pinned_naive_matches_reduced(capsys):
+    argv = ["synthesize", "--formula", "K[C1](!conflict(1))", "--at", "end",
+            "--mode", "conservative", "--scenario", "pinned",
+            "--assign", "slot_request=[1,2,0];msg=[1,0,1]", "--format", "json"]
+    reports = [run_cli(capsys, *argv, "--engine", engine) for engine in ("reduced", "naive")]
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
 
 
 def test_synthesize_needs_agent_or_know(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import brute
 from conftest import run_of
-from kbpcheck import dc, engine
+from kbpcheck import dc
 from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
 from kbpcheck.engine import (contribution_matrix, execute_kbp, generate_runs,
@@ -67,10 +67,12 @@ def test_custom_scenario_constraint(model3):
     assert all(int(v) == 2 for v in system.column("C1.slot_request", 0))
 
 
-def test_knowledge_statements_rejected_by_generate_runs(scen_unknown):
-    kbp_model = dc.build_cdc(dc.DcParams(), kbp=True)
-    with pytest.raises(UsageError):
-        generate_runs(kbp_model, scen_unknown, "reduced")
+def test_generate_runs_builds_a_kbp_as_execute_kbp(kbp_systems, scen_unknown):
+    model, ksys = kbp_systems["speculative"]
+    system = generate_runs(model, scen_unknown, "reduced")
+    for agent in model.agents:
+        assert np.array_equal(system.meta["contrib"][agent], ksys.meta["contrib"][agent])
+    assert verify_kbp_fixpoint(system, model)
 
 
 def test_local_statements_read_the_columns_written_before_them(scen_unknown):
@@ -170,7 +172,7 @@ def test_kbp_fixpoint(kbp_systems):
 def test_kbp_fixpoint_catches_a_flipped_bit_on_the_naive_engine(mode):
     model = dc.build_cdc(dc.DcParams(slots=2, mode=mode), kbp=True)
     scenario = dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2)
-    system = engine._build(model, scenario, "naive", knowledge=True)
+    system = generate_runs(model, scenario, "naive")
     assert verify_kbp_fixpoint(system, model)
     system.column("C1.rcvd1[1]", system.horizon)[0] ^= 1
     assert not verify_kbp_fixpoint(system, model)

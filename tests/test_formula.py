@@ -274,8 +274,7 @@ def _naive_system(model2, kind):
                                   "&& C3.slot_request == 0")
         return engine.generate_runs(model2, scen, "naive")
     model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
-    return engine._build(model, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive",
-                         knowledge=True)
+    return engine.generate_runs(model, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive")
 
 
 @pytest.mark.parametrize("kind", ["restricted", "pinned-kbp"])

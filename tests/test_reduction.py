@@ -6,7 +6,7 @@ import pytest
 import brute
 from kbpcheck import dc
 from kbpcheck import formula as fm
-from kbpcheck.engine import generate_runs, reduced_system
+from kbpcheck.engine import execute_kbp, generate_runs, reduced_system, verify_kbp_fixpoint
 from kbpcheck.model import UsageError
 from kbpcheck.reduction import (AgreementReport, Mismatch, engines_agree,
                                 random_formulas)
@@ -200,6 +200,42 @@ def test_engines_agree_catches_injected_fault(model2, scen2, naive2):
              for a in ("C1", "C2", "C3") for s in (1, 2)]
     report = engines_agree(model2, scen2, suite, naive=naive2, reduced=coarse)
     assert not report.ok
+    assert report.mismatches
+
+
+KBP_SUITE = [(f"spec-{sid}-{agent}-{slot or 0}", dc.spec(sid, agent, slot, slots=2)[0])
+             for sid in ("2", "3", "4a", "4b", "5", "6")
+             for agent, slot in dc.spec_instances(sid, slots=2)]
+
+
+@pytest.mark.parametrize("mode", dc.MODES)
+def test_naive_kbp_is_the_reduced_kbp_on_every_key_schedule(scen2, mode):
+    # built here, not in a session fixture: each naive KBP holds about 250 MB
+    model = dc.build_cdc(dc.DcParams(slots=2, mode=mode), kbp=True)
+    naive = generate_runs(model, scen2, "naive")
+    reduced = execute_kbp(model, scen2)
+    n_keys = naive.meta["n_key_schedules"]
+    assert naive.n_runs == reduced.n_runs * n_keys == 884_736
+    for agent in model.agents:
+        assert np.array_equal(naive.meta["contrib"][agent],
+                              np.repeat(reduced.meta["contrib"][agent], n_keys, axis=1))
+    names = [f"{a}.{name}" for a in model.agents for name in model.programs[a].locals_]
+    names += [f"rr[{t}]" for t in range(1, model.horizon + 1)]
+    for flat in names:
+        assert np.array_equal(naive.column(flat, naive.horizon),
+                              np.repeat(reduced.column(flat, reduced.horizon), n_keys))
+    assert verify_kbp_fixpoint(naive, model)
+    # the default reduced side of the oracle is the reduced KBP build
+    report = engines_agree(model, scen2, KBP_SUITE, seed=3, n_random=40, naive=naive)
+    assert report.ok
+    assert report.formulas == len(KBP_SUITE) + 40
+
+
+@pytest.mark.parametrize("mode", dc.MODES)
+def test_naive_kbp_oracle_catches_coarse_fingerprints(scen2, mode):
+    model = dc.build_cdc(dc.DcParams(slots=2, mode=mode), kbp=True)
+    coarse = reduced_system(model, scen2, coarse_fingerprints=True)
+    report = engines_agree(model, scen2, KBP_SUITE, seed=3, n_random=40, reduced=coarse)
     assert report.mismatches
 
 
