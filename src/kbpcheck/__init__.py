@@ -11,9 +11,9 @@ from .formula import (Atom, Const, And, Or, Not, Implies, Iff, Know, Next,
                       Evaluator, Verdict, check_valid_at, eval_at, fmt,
                       parse_formula)
 from .localexpr import parse_local_expr
-from .engine import (ENGINE_MODES, AgentProgram, Announce, AssignKnowledge,
-                     AssignLocal, IfKnowledge, PhaseBlock, ProtocolModel,
-                     Scenario, execute_kbp, generate_runs, verify_kbp_fixpoint)
+from .engine import (ENGINE_MODES, AgentProgram, Assign, PhaseBlock,
+                     ProtocolModel, Scenario, execute_kbp, generate_runs,
+                     verify_kbp_fixpoint)
 from .reduction import AgreementReport, engines_agree, random_formulas
 from .dc import (DcParams, PredicateDef, build_cdc, builtin_predicate,
                  conflict_macro, dc_macros, final_predicates,

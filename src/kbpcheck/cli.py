@@ -172,8 +172,6 @@ def emit_json(payload) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.slot is not None and args.spec in ("5", "6"):
-        raise UsageError(f"spec {args.spec} ranges over no slot; drop --slot")
     scenario, mode = resolve_scenario(args)
     model, system = build_system(scenario, mode, args.engine)
     spec_ids = list(dc.SPEC_IDS) if args.spec == "all" else [args.spec]
@@ -182,7 +180,9 @@ def cmd_check(args) -> int:
     for sid in spec_ids:
         if sid == ("1c" if mode == "speculative" else "1s") and args.spec == "all":
             continue  # the kc equivalence of the other mode does not apply
-        for agent, slot in dc.spec_instances(sid, model.slots, args.agent, args.slot):
+        # --spec all --slot N narrows the slotted specs and keeps the others whole
+        narrow = None if args.spec == "all" and sid in dc.SLOTLESS_SPECS else args.slot
+        for agent, slot in dc.spec_instances(sid, model.slots, args.agent, narrow):
             phi, time = dc.spec(sid, agent, slot, model.slots)
             verdict = fm.check_valid_at(system, phi, time, evaluator)
             cex = counterexample_from_verdict(system, verdict)

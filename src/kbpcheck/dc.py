@@ -40,14 +40,14 @@ from typing import Optional, Sequence
 
 from . import formula as fm
 from . import localexpr as le
-from .engine import (AgentProgram, Announce, AssignKnowledge, AssignLocal,
-                     IfKnowledge, PhaseBlock, ProtocolModel, Scenario)
+from .engine import AgentProgram, Assign, PhaseBlock, ProtocolModel, Scenario
 from .model import UsageError
 
 AGENTS = ("C1", "C2", "C3")
 KEY_EDGES = (("k12", ("C1", "C2")), ("k23", ("C2", "C3")), ("k31", ("C3", "C1")))
 MODES = ("speculative", "conservative")
 SPEC_IDS = ("1s", "1c", "2", "3", "4a", "4b", "5", "6")
+SLOTLESS_SPECS = ("5", "6")     # the others range over the slots
 PREDICATE_TARGETS = ("kc", "conflict_free", "rcvd0", "rcvd1", "dlvrd")
 
 
@@ -252,34 +252,38 @@ def build_cdc(params: DcParams, predicates: Optional[dict] = None,
 
 def _agent_program(agent: str, params: DcParams, predicates: Optional[dict],
                    kbp: bool) -> AgentProgram:
-    """Each target variable is assigned at its target_formula check time: the
-    KBP assigns the knowledge formula, the implementation the predicate.  The
-    KBP tests kc's formula inline in its transmission guard instead."""
+    """Every statement is a formula.  Each target variable is assigned at its
+    target_formula check time: the KBP assigns the knowledge formula, the
+    implementation its predicate compiled for this agent, time and slot (a
+    predicate that reads outside the agent's locals and rr, or reads rr too
+    early, is a ModelError here).  The KBP's transmission announcement tests
+    kc's knowledge formula, read at its check time, where the implementation
+    reads kc[s]."""
     n, slots = params.slots, range(1, params.slots + 1)
     indexed = ("rcvd0", "rcvd1") if kbp else ("kc", "rcvd0", "rcvd1")
     locals_ = ["slot_request", "msg"] + [_target_var(t, s) for t in indexed for s in slots]
     locals_.append("dlvrd")
+    names = tuple(f"{agent}.{name}" for name in locals_) + \
+        tuple(f"rr[{t}]" for t in range(1, 2 * n + 1))
 
     # within a step: rcvd0[s], rcvd1[s], kc[s+1], then dlvrd
     post = {step: [] for step in range(1, 2 * n + 1)}
     schedule = [(t, s) for t in ("rcvd0", "rcvd1", "kc") if t in indexed for s in slots]
     for target, s in schedule + [("dlvrd", None)]:
         know, time = target_formula(target, agent, s, n, params.mode)
-        var = _target_var(target, s)
-        post[time].append(AssignKnowledge(var, know) if kbp
-                          else AssignLocal(var, predicates[target].expr_for(s), s))
+        stmt = know if kbp else le.to_formula(predicates[target].expr_for(s), agent, time, s, names)
+        post[time].append(Assign(_target_var(target, s), stmt))
 
     phases = []
     for step in range(1, 2 * n + 1):
         s = step - n
         if s < 1:
-            announce = Announce(_parse_cached(f"slot_request == {step}"))
-        elif kbp:
-            guard = fm.Atom(agent, "slot_request", "==", s)
-            know, _ = target_formula("kc", agent, s, n, params.mode)
-            announce = IfKnowledge(fm.And(guard, know), _parse_cached("msg"), le.LConst(False))
+            announce = fm.Atom(agent, "slot_request", "==", step)
         else:
-            announce = Announce(_parse_cached(f"slot_request == {s} && kc[{s}] && msg"))
+            kc = target_formula("kc", agent, s, n, params.mode)[0] if kbp \
+                else fm.Atom(agent, f"kc[{s}]", "==", 1)
+            announce = fm.conj([fm.Atom(agent, "slot_request", "==", s), kc,
+                                fm.Atom(agent, "msg", "==", 1)])
         phases.append(PhaseBlock(announce, tuple(post[step])))
     return AgentProgram(agent, tuple(locals_), tuple(phases))
 
@@ -326,11 +330,12 @@ def spec(spec_id: str, agent: str, slot: Optional[int] = None, slots: int = 3):
     if agent not in AGENTS:
         raise UsageError(f"unknown agent {agent!r}")
     end = 2 * slots
-    if spec_id in ("1s", "1c", "2", "3", "4a", "4b"):
-        if slot is None:
-            raise UsageError(f"spec {spec_id} needs a slot")
-        if not 1 <= slot <= slots:
-            raise UsageError(f"slot {slot} outside 1..{slots}")
+    if spec_id in SLOTLESS_SPECS:
+        _no_slot(spec_id, slot)
+    elif slot is None:
+        raise UsageError(f"spec {spec_id} needs a slot")
+    elif not 1 <= slot <= slots:
+        raise UsageError(f"slot {slot} outside 1..{slots}")
     if spec_id in _EQUIVALENCES:
         target, mode = _EQUIVALENCES[spec_id]
         know, time = target_formula(target, agent, slot, slots, mode)
@@ -362,10 +367,16 @@ def spec_instances(spec_id: str, slots: int = 3,
     if slot is not None and not 1 <= slot <= slots:
         raise UsageError(f"slot {slot} outside 1..{slots}")
     agents = list(AGENTS) if agent is None else [agent]
-    if spec_id in ("5", "6"):
+    if spec_id in SLOTLESS_SPECS:
+        _no_slot(spec_id, slot)
         return [(a, None) for a in agents]
     slot_values = list(range(1, slots + 1)) if slot is None else [slot]
     return [(a, s) for a in agents for s in slot_values]
+
+
+def _no_slot(spec_id: str, slot: Optional[int]):
+    if slot is not None:
+        raise UsageError(f"spec {spec_id} ranges over no slot, got slot {slot}")
 
 
 @lru_cache(maxsize=1024)

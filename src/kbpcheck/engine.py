@@ -28,23 +28,27 @@ verify_kbp_fixpoint re-checks them in a built run set of either engine.
 Every program local but slot_request and msg reads false until the step
 that assigns it.
 
-Announcements and local assignments are local expressions, compiled to
-formulas and evaluated by the formula evaluator, one fresh Evaluator per
-statement: the loop writes each latched column in place, so within a step a
-statement reads false from a local that a later statement assigns, and the
-new value from one that an earlier statement assigned.
+Every statement is a formula: an announcement is read at time step-1, an
+assignment at time step.  The implementation's statements are its local
+expressions compiled to formulas; the knowledge-based program's are the
+knowledge formulas themselves, so the loop does not tell the two apart.
+Each local latches at one step (the build checks it), so nothing at a time
+before the current step is written again, and one Evaluator serves every
+announcement of the build.  Each assignment gets a fresh one:
+the loop writes each latched column in place, so within a step an assignment
+reads false from a local that a later assignment writes, and the new value
+from one that an earlier assignment wrote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import formula as fm
-from . import localexpr as le
 from .model import InterpretedSystem, ModelError, UsageError, VariableDecl
 
 ENGINE_MODES = ("naive", "reduced")
@@ -54,39 +58,19 @@ ENGINE_MODES = ("naive", "reduced")
 
 
 @dataclass(frozen=True)
-class Announce:
-    expr: le.LocalExpr
-
-
-@dataclass(frozen=True)
-class IfKnowledge:
-    """Announce then_expr when the (possibly epistemic) test holds, else else_expr."""
-
-    test: fm.Formula
-    then_expr: le.LocalExpr
-    else_expr: le.LocalExpr
-
-
-@dataclass(frozen=True)
-class AssignLocal:
-    var: str
-    expr: le.LocalExpr
-    slot: Optional[int] = None      # what 's' in expr stands for
-
-
-@dataclass(frozen=True)
-class AssignKnowledge:
+class Assign:
     var: str
     formula: fm.Formula
 
 
 @dataclass(frozen=True)
 class PhaseBlock:
-    """One macro step: exactly one announcement, then post-step assignments
-    that may read everything observed through this step."""
+    """One macro step: exactly one announcement, the agent's contribution bit
+    read at the step's start, then post-step assignments that may read
+    everything observed through this step."""
 
-    announce: Union[Announce, IfKnowledge]
-    post: tuple = ()
+    announce: fm.Formula
+    post: tuple = ()        # of Assign
 
 
 @dataclass(frozen=True)
@@ -131,13 +115,19 @@ class ProtocolModel:
         return self.agents.index(agent) + 1
 
 
-def _validate_present_time(program: AgentProgram):
-    for block in program.phases:
-        if isinstance(block.announce, IfKnowledge) and fm.x_depth(block.announce.test):
-            raise UsageError("knowledge tests must refer to the present time (no X)")
+def _validate_program(program: AgentProgram):
+    """Statements read the present only, and a local latches at one step: a
+    second write would change what earlier steps read."""
+    latch = {}
+    for step, block in enumerate(program.phases, start=1):
+        for phi in (block.announce, *(stmt.formula for stmt in block.post)):
+            if fm.x_depth(phi):
+                raise UsageError("program statements must refer to the present time (no X)")
         for stmt in block.post:
-            if isinstance(stmt, AssignKnowledge) and fm.x_depth(stmt.formula):
-                raise UsageError("knowledge assignments must refer to the present time (no X)")
+            first = latch.setdefault(stmt.var, step)
+            if first != step:
+                raise ModelError(f"{program.agent}.{stmt.var} is assigned at steps "
+                                 f"{first} and {step}")
 
 # ---------------------------------------------------------------------------
 # Initial assignments
@@ -255,7 +245,7 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
            coarse: bool = False, max_naive_runs: int = 4_000_000) -> InterpretedSystem:
     """The lock-step loop shared by both observation models."""
     for a in model.agents:
-        _validate_present_time(model.programs[a])
+        _validate_program(model.programs[a])
     if engine_mode not in ENGINE_MODES:
         raise UsageError(f"unknown engine mode {engine_mode!r} (use 'naive' or 'reduced')")
     naive = engine_mode == "naive"
@@ -311,33 +301,21 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
                 oxr[a][step] = rr ^ contrib[a][step]
             return rr
 
-    evaluator = fm.Evaluator(system)
+    announcements = fm.Evaluator(system)
     for step in range(1, T + 1):
         # announcements read the time step-1 view only, so writing one agent's
         # contribution at `step` cannot affect another's
         for a in model.agents:
-            contrib[a][step] = _announce(model, system, a, step, evaluator)
+            contrib[a][step] = announcements.vector(
+                model.programs[a].phases[step - 1].announce, step - 1)
         latched[f"rr[{step}]"][:] = publish(step)
         for a in model.agents:
             for stmt in model.programs[a].phases[step - 1].post:
-                if isinstance(stmt, AssignLocal):
-                    value = le.eval_expr(stmt.expr, system, a, step, stmt.slot)
-                else:
-                    value = evaluator.vector(stmt.formula, step)
-                latched[f"{a}.{stmt.var}"][:] = value
+                # fresh: an earlier assignment of this step may have written
+                # a column this one reads
+                latched[f"{a}.{stmt.var}"][:] = fm.Evaluator(system).vector(stmt.formula, step)
     system.meta["contrib"] = contrib
     return system.finalize()
-
-
-def _announce(model: ProtocolModel, system: InterpretedSystem, agent: str, step: int,
-              evaluator: fm.Evaluator) -> np.ndarray:
-    """The agent's contribution bits at `step`, from its view at step - 1."""
-    stmt = model.programs[agent].phases[step - 1].announce
-    if isinstance(stmt, Announce):
-        return le.eval_expr(stmt.expr, system, agent, step - 1)
-    test = evaluator.vector(stmt.test, step - 1)
-    return np.where(test, le.eval_expr(stmt.then_expr, system, agent, step - 1),
-                    le.eval_expr(stmt.else_expr, system, agent, step - 1))
 
 # ---------------------------------------------------------------------------
 # Rendering helpers
@@ -364,22 +342,24 @@ def rr_vector(system: InterpretedSystem, run: int) -> list:
 
 
 def verify_kbp_fixpoint(system: InterpretedSystem, model: ProtocolModel) -> bool:
-    """Re-evaluate every knowledge statement of the program inside the built
-    system, step by step, and check that it gives back the contributions and
-    latched values the system was built with."""
+    """Re-evaluate every statement of the program that tests knowledge inside
+    the built system, and check that it gives back what the system was built
+    with: an announcement at step-1 its contributions, an assignment at step
+    its latched column."""
     evaluator = fm.Evaluator(system)
     contrib = system.meta["contrib"]
     for step in range(1, model.horizon + 1):
         for a in model.agents:
             block = model.programs[a].phases[step - 1]
-            if isinstance(block.announce, IfKnowledge) and not np.array_equal(
-                    _announce(model, system, a, step, evaluator),
-                    contrib[a][step].astype(bool)):
-                return False
-            for stmt in block.post:
-                if isinstance(stmt, AssignKnowledge) and not np.array_equal(
-                        evaluator.vector(stmt.formula, step),
-                        system.column(f"{a}.{stmt.var}", step).astype(bool)):
+            checks = [(block.announce, step - 1, contrib[a][step])]
+            checks += [(stmt.formula, step, system.column(f"{a}.{stmt.var}", step))
+                       for stmt in block.post]
+            for phi, time, built in checks:
+                if _tests_knowledge(phi) and not np.array_equal(
+                        evaluator.vector(phi, time), built.astype(bool)):
                     return False
     return True
 
+
+def _tests_knowledge(phi: fm.Formula) -> bool:
+    return any(isinstance(sub, fm.Know) for sub in fm.subformulas(phi))

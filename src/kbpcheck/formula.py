@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -156,7 +157,9 @@ def know_value(agent: str, atom: Atom) -> Formula:
     return Or(Know(agent, atom), Know(agent, Not(atom)))
 
 
+@lru_cache(maxsize=8192)
 def x_depth(phi: Formula) -> int:
+    # cached, so a compiled formula's shared subtrees are walked once
     if isinstance(phi, (Const, Atom)):
         return 0
     if isinstance(phi, (Not, Know)):

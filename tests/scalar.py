@@ -47,7 +47,8 @@ def run_single(model, sr, msg, key_bits) -> list:
     """The valuation dict of one run at each time 0..T.  key_bits[t-1] holds
     step t's fresh bit per ring edge, in model.key_edges order.  Each step's
     announcements are evaluated on the time t-1 valuation and committed
-    together; rr[t] and the step's post assignments follow."""
+    together; rr[t] and the step's post assignments follow.  Statements are
+    K-free formulas, evaluated on the valuation as it stands."""
     edges = [name for name, _ in model.key_edges]
     valuation = {f"rr[{t}]": False for t in range(1, model.horizon + 1)}
     valuation.update(dict.fromkeys(edges, False))
@@ -63,7 +64,7 @@ def run_single(model, sr, msg, key_bits) -> list:
         said = {}
         for a in model.agents:
             block = model.programs[a].phases[step - 1]
-            contrib = eval_local(block.announce.expr, a, step - 1, valuation)
+            contrib = fm.eval_on_valuation(block.announce, valuation)
             left, right = model.agent_keys(a)
             said[a] = contrib ^ valuation[left] ^ valuation[right]
         for a in model.agents:
@@ -71,8 +72,7 @@ def run_single(model, sr, msg, key_bits) -> list:
         valuation[f"rr[{step}]"] = sum(said.values()) % 2 == 1
         for a in model.agents:
             for stmt in model.programs[a].phases[step - 1].post:
-                valuation[f"{a}.{stmt.var}"] = eval_local(stmt.expr, a, step, valuation,
-                                                          stmt.slot)
+                valuation[f"{a}.{stmt.var}"] = fm.eval_on_valuation(stmt.formula, valuation)
         states.append(valuation)
     return states
 

@@ -189,6 +189,10 @@ PINNED_REPORTS = [
      "8004b00c025c103ec85bfc2acaeebf13d71e67435451bb7a459919cef712289c", 0),
     (["trace", "--assign", "slot_request=[2,2,2];msg=[1,1,1]"],
      "e4392699a7196a14b1f61a6923cdf7df05fff3412fce46e8b8e627fcc96bfb85", 0),
+    # the knowledge-based program's path: synthesis on the conservative KBP
+    (["synthesize", "--formula", "K[C1](!conflict(2))", "--at", "res:3",
+      "--mode", "conservative", "--format", "json"],
+     "665e3b786dba5a54b8e6431c064c0c841327a3dd972028f9ab3f9d5be34b44ad", 0),
 ]
 
 

@@ -7,7 +7,6 @@ import brute
 from conftest import run_of
 from kbpcheck import dc
 from kbpcheck import formula as fm
-from kbpcheck.engine import AssignKnowledge, AssignLocal, IfKnowledge
 from kbpcheck.model import Point, UsageError
 from scalar import eval_local
 
@@ -108,6 +107,9 @@ def test_spec_shapes_and_times():
         dc.spec("2", "C1", None)
     with pytest.raises(UsageError):
         dc.spec("1s", "C9", 1)
+    for sid in dc.SLOTLESS_SPECS:
+        with pytest.raises(UsageError, match="ranges over no slot"):
+            dc.spec(sid, "C1", 2)
 
 
 def test_spec_instances():
@@ -115,6 +117,10 @@ def test_spec_instances():
     assert len(dc.spec_instances("5")) == 3
     assert dc.spec_instances("2", agent="C2", slot=3) == [("C2", 3)]
     assert len(dc.spec_instances("4a", slots=2)) == 6
+    for sid in dc.SLOTLESS_SPECS:
+        assert dc.spec_instances(sid, agent="C1") == [("C1", None)]
+        with pytest.raises(UsageError, match="ranges over no slot"):
+            dc.spec_instances(sid, slot=2)
 
 
 def test_scenarios():
@@ -249,7 +255,6 @@ def test_programs_assign_targets_at_their_check_time(slots, mode):
         assigned = {}
         for step, block in enumerate(kbp.programs[agent].phases, start=1):
             for stmt in block.post:
-                assert isinstance(stmt, AssignKnowledge)
                 target, slot = _target_of(stmt.var)
                 assert _expected_check_time(target, slot, slots) == step
                 assert dc.target_formula(target, agent, slot, slots, mode) == \
@@ -260,9 +265,8 @@ def test_programs_assign_targets_at_their_check_time(slots, mode):
                 s = step - slots
                 know, t = dc.target_formula("kc", agent, s, slots, mode)
                 assert t == step - 1
-                assert isinstance(block.announce, IfKnowledge)
-                assert block.announce.test == \
-                    fm.And(fm.Atom(agent, "slot_request", "==", s), know)
+                assert block.announce == fm.conj([fm.Atom(agent, "slot_request", "==", s),
+                                                  know, fm.Atom(agent, "msg", "==", 1)])
         assert sorted(assigned) == sorted(
             [v for v in indexed if not v.startswith("kc")] + ["dlvrd"])
         # the implementation assigns every variable, kc included, at that step
@@ -272,8 +276,11 @@ def test_programs_assign_targets_at_their_check_time(slots, mode):
             _, t = dc.target_formula(target, agent, slot, slots, mode)
             assert t == _expected_check_time(target, slot, slots)
             assert program.assignment_step(var) == t
-        assert all(isinstance(stmt, AssignLocal)
-                   for block in program.phases for stmt in block.post)
+        # its statements, announcements included, are compiled local
+        # expressions, so none of them tests knowledge
+        assert not any(isinstance(sub, fm.Know) for block in program.phases
+                       for phi in (block.announce, *(stmt.formula for stmt in block.post))
+                       for sub in fm.subformulas(phi))
 
 
 @pytest.mark.parametrize("slots", [2, 3, 4])

@@ -90,6 +90,40 @@ def test_local_statements_read_the_columns_written_before_them(scen_unknown):
         assert int(rcvd1.sum()) == 76
 
 
+def test_knowledge_assignment_reads_an_earlier_assignment_of_its_step():
+    # C1 at step 3: rcvd0[1] := rcvd1[1]; rcvd1[1] := K...; dlvrd := rcvd1[1].
+    # Each assignment reads the columns as the step has written them so far.
+    from kbpcheck.engine import AgentProgram, Assign, PhaseBlock
+    model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
+    prog = model.programs["C1"]
+    phases = list(prog.phases)
+    (rcvd1,) = [stmt for stmt in phases[2].post if stmt.var == "rcvd1[1]"]
+    read = fm.Atom("C1", "rcvd1[1]", "==", 1)
+    phases[2] = PhaseBlock(phases[2].announce,
+                           (Assign("rcvd0[1]", read), rcvd1, Assign("dlvrd", read)))
+    phases[3] = PhaseBlock(phases[3].announce,
+                           tuple(stmt for stmt in phases[3].post if stmt.var != "dlvrd"))
+    model.programs["C1"] = AgentProgram("C1", prog.locals_, tuple(phases))
+    system = execute_kbp(model, dc.unknown_scenario(slots=2))
+    end = system.horizon
+    received = system.column("C1.rcvd1[1]", end)
+    assert int(received.sum()) == 36
+    assert np.array_equal(system.column("C1.dlvrd", end), received)
+    assert not system.column("C1.rcvd0[1]", end).any()
+
+
+def test_a_local_assigned_at_two_steps_is_refused():
+    # a second write would rewrite what the steps between read
+    from kbpcheck.engine import AgentProgram, Assign, PhaseBlock
+    model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
+    prog = model.programs["C1"]
+    phases = list(prog.phases)
+    phases[2] = PhaseBlock(phases[2].announce, phases[2].post + (Assign("dlvrd", fm.TRUE),))
+    model.programs["C1"] = AgentProgram("C1", prog.locals_, tuple(phases))
+    with pytest.raises(ModelError, match=r"C1\.dlvrd is assigned at steps 3 and 4"):
+        execute_kbp(model, dc.unknown_scenario(slots=2))
+
+
 def test_execute_step_reservation_and_transmission(model3):
     # all request slot 2: reservation round 2 has three contributions
     schedule = ((0, 0, 0),) * 6
@@ -180,11 +214,11 @@ def test_kbp_fixpoint_catches_a_flipped_bit_on_the_naive_engine(mode):
 
 @pytest.mark.parametrize("mode", dc.MODES)
 def test_kbp_fixpoint_catches_flipped_knowledge_choices(mode):
-    from kbpcheck.engine import IfKnowledge
     model = dc.build_cdc(dc.DcParams(slots=2, mode=mode), kbp=True)
     scenario = dc.unknown_scenario(slots=2)
     guarded = model.slots + 1                   # transmission step of slot 1
-    assert isinstance(model.programs["C1"].phases[guarded - 1].announce, IfKnowledge)
+    announce = model.programs["C1"].phases[guarded - 1].announce
+    assert any(isinstance(sub, fm.Know) for sub in fm.subformulas(announce))
     system = execute_kbp(model, scenario)
     system.meta["contrib"]["C1"][guarded][0] ^= 1
     assert not verify_kbp_fixpoint(system, model)
@@ -194,20 +228,17 @@ def test_kbp_fixpoint_catches_flipped_knowledge_choices(mode):
 
 
 def test_kbp_with_trivial_test_behaves_as_constant_true(scen_unknown):
-    from kbpcheck.engine import AgentProgram, IfKnowledge, PhaseBlock
+    from kbpcheck.engine import AgentProgram, PhaseBlock
     base = dc.build_cdc(dc.DcParams(), kbp=True)
     programs = {}
     for agent, prog in base.programs.items():
         phases = []
         for step, block in enumerate(prog.phases, start=1):
-            if isinstance(block.announce, IfKnowledge):
+            announce = block.announce
+            if step > base.slots:
                 s = step - base.slots
-                guard = fm.And(fm.Atom(agent, "slot_request", "==", s),
-                               fm.Know(agent, fm.TRUE))
-                announce = IfKnowledge(guard, block.announce.then_expr,
-                                       block.announce.else_expr)
-            else:
-                announce = block.announce
+                announce = fm.conj([fm.Atom(agent, "slot_request", "==", s),
+                                    fm.Know(agent, fm.TRUE), fm.Atom(agent, "msg", "==", 1)])
             phases.append(PhaseBlock(announce, block.post))
         programs[agent] = AgentProgram(agent, prog.locals_, tuple(phases))
     model = dc.build_cdc(dc.DcParams(), kbp=True)
@@ -235,17 +266,20 @@ def test_conservative_kbp_backs_off_when_three_way_possible(kbp_systems, sys_unk
     assert int(contrib["C1"][5][i]) == 1
 
 
-def test_kbp_future_time_test_rejected(scen_unknown):
-    from kbpcheck.engine import AgentProgram, IfKnowledge, PhaseBlock
+@pytest.mark.parametrize("where", ["announce", "assign"])
+def test_kbp_future_time_test_rejected(scen_unknown, where):
+    from kbpcheck.engine import AgentProgram, Assign, PhaseBlock
     model = dc.build_cdc(dc.DcParams(), kbp=True)
     prog = model.programs["C1"]
-    bad_guard = fm.Next(fm.Know("C1", dc.conflict_macro(1)))
+    bad = fm.Next(fm.Know("C1", dc.conflict_macro(1)))
     block = prog.phases[3]
     phases = list(prog.phases)
-    phases[3] = PhaseBlock(IfKnowledge(bad_guard, block.announce.then_expr,
-                                       block.announce.else_expr), block.post)
+    if where == "announce":
+        phases[3] = PhaseBlock(bad, block.post)
+    else:
+        phases[3] = PhaseBlock(block.announce, (Assign(block.post[0].var, bad),) + block.post[1:])
     model.programs["C1"] = AgentProgram("C1", prog.locals_, tuple(phases))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="present time"):
         execute_kbp(model, scen_unknown)
 
 
