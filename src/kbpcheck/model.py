@@ -24,8 +24,10 @@ class vector at level t holds one value per class at t, so its length says
 its level.  finalize checks that every trace is constant within the classes
 of the level its kind fixes: 0 for a const trace, t for a step trace at t,
 the latch time for a latched one.  Partitions are grouped once per (agent,
-time), over class vectors.  The reduced engine has b = 1: its classes are
-its runs.
+time), over class vectors: each class's record is packed into an integer
+key, whose key space is relabelled densely whenever it outgrows the class
+count, and the labels come from a first-occurrence table over that space.
+The reduced engine has b = 1: its classes are its runs.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class VariableDecl:
             raise UsageError(f"variable {self.name!r} has an empty domain")
 
     def bits(self) -> int:
-        return max(1, (len(self.domain) - 1).bit_length())
+        """Bits that hold every domain value (partition keys pack them)."""
+        return max(1, int(max(self.domain)).bit_length())
 
 
 @dataclass(frozen=True)
@@ -293,30 +296,44 @@ class InterpretedSystem:
 
     @staticmethod
     def _group(cols, bits, prev):
-        """Group runs by the tuple (prev label, *cols): the columns are packed
-        into one int64 key, which is compressed to dense labels whenever the
-        next column would overflow 63 bits."""
-        if prev is None and not cols:
-            raise ModelError("cannot group on an empty record")
-        acc, width = (None, 0) if prev is None else \
-            (prev[0].astype(np.int64), max(1, int(prev[1] - 1).bit_length()))
+        """Group classes by the tuple (prev label, *cols), labelled densely
+        in least-member order.
+
+        The record is packed into one int64 key whose key space (the number
+        of possible keys) is known: n_prev << sum(bits).  Before the next
+        column is shifted in, a key space larger than the class count n is
+        relabelled densely, so no key space passes n << max(bits).  Labels
+        come from a first-occurrence table over the key space: table[key] is
+        the least class with that key, and the classes that are their key's
+        first occurrence number the blocks in order.
+        """
+        if prev is None:
+            if not cols:
+                raise ModelError("cannot group on an empty record")
+            prev = (np.zeros(len(cols[0]), dtype=np.int64), 1)
+        acc, space = prev
         for col, b in zip(cols, bits):
-            if width + b > 63:
-                keys, acc = np.unique(acc, return_inverse=True)
-                width = max(1, (len(keys) - 1).bit_length())
-            col = col.astype(np.int64)
-            acc = col if acc is None else (acc << b) | col
-            width += b
-        _, first, inverse = np.unique(acc, return_index=True, return_inverse=True)
-        # renumber so block ids follow least-member-run order
-        order = np.argsort(first, kind="stable")
-        remap = np.empty_like(order)
-        remap[order] = np.arange(len(order))
-        labels = remap[inverse].astype(np.int64)
-        return labels, len(order)
+            if space > len(acc):
+                acc, space = _first_occurrence(acc, space)
+            acc = (acc << b) | col
+            space <<= b
+        return _first_occurrence(acc, space)
 
     # validation helpers ---------------------------------------------------
 
     def _check_agent(self, agent):
         if agent not in self.agents:
             raise UsageError(f"unknown agent {agent!r}")
+
+
+def _first_occurrence(keys, space):
+    """Dense labels of int64 `keys` in 0..space-1, numbered by the least
+    index holding each key, and their count."""
+    if not len(keys):
+        return keys, 0
+    index = np.arange(len(keys))
+    table = np.full(space, len(keys), dtype=np.int64)
+    np.minimum.at(table, keys, index)
+    first = table[keys]
+    ids = np.cumsum(first == index, dtype=np.int64) - 1
+    return ids[first], int(ids[-1]) + 1

@@ -2,10 +2,14 @@
 
 Implements the two-phase broadcast from first principles with plain tuples
 and exhaustive enumeration — no imports from the package under test — so the
-numbers frozen into the tests come from a second, unrelated route.
+numbers frozen into the tests come from a second, unrelated route.  It also
+keeps the sort-based partition grouping, the reference for the library's
+first-occurrence table.
 """
 
 from itertools import product
+
+import numpy as np
 
 AGENT_COUNT = 3
 
@@ -68,3 +72,24 @@ def conflict(sr, s):
 def sender(v, agent, x, s):
     sr, msg = v
     return any(msg[j] == x and sr[j] == s for j in range(AGENT_COUNT) if j != agent)
+
+
+def group_sorted(cols, bits, prev):
+    """Reference grouping by the tuple (prev label, *cols), labelled densely
+    in least-member order: pack the record into one int64 key, compressed
+    through np.unique whenever the next column would pass 63 bits, then
+    renumber the sorted unique keys by their first occurrence."""
+    acc, width = (None, 0) if prev is None else \
+        (prev[0].astype(np.int64), max(1, int(prev[1] - 1).bit_length()))
+    for col, b in zip(cols, bits):
+        if width + b > 63:
+            keys, acc = np.unique(acc, return_inverse=True)
+            width = max(1, (len(keys) - 1).bit_length())
+        col = col.astype(np.int64)
+        acc = col if acc is None else (acc << b) | col
+        width += b
+    _, first, inverse = np.unique(acc, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    remap = np.empty_like(order)
+    remap[order] = np.arange(len(order))
+    return remap[inverse].astype(np.int64), len(order)

@@ -1,11 +1,14 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import brute
 from conftest import run_of
-from kbpcheck import dc
+from kbpcheck import dc, model
 from kbpcheck.engine import generate_runs
 from kbpcheck.model import InterpretedSystem, ModelError, Point, UsageError, VariableDecl
 from scalar import observation_of
@@ -46,16 +49,20 @@ def test_finalize_lists_values_in_the_gap_of_a_domain():
 
 def test_finalize_accepts_a_system_without_runs():
     system = InterpretedSystem(("A",), 1, [VariableDecl("x", (0, 1), "A", frozenset({"A"})),
-                                           VariableDecl("y", (1,), None, frozenset())], 0)
+                                           VariableDecl("y", (1,), None, frozenset({"A"}))], 0)
     system.set_const("x", np.zeros(0, dtype=np.uint8))
     system.set_step("y", np.zeros((2, 0), dtype=np.uint8))
     assert system.finalize() is system
+    for t in (0, 1):
+        labels, n_blocks = system.partition_labels("A", t)
+        assert labels.dtype == np.int64 and labels.shape == (0,) and n_blocks == 0
 
 
 def test_grouping_wider_than_63_bits_matches_tuples():
-    # 30 const and 70 step observations: the packed key overflows 63 bits at
-    # every time, so it is compressed on the way; the labels must still be
-    # the first-occurrence numbering of the plain observation tuples
+    # 30 const and 70 step observations: the packed key space outgrows the
+    # 400 classes many times at every time, so it is relabelled on the way;
+    # the labels must still be the first-occurrence numbering of the plain
+    # observation tuples
     rng = np.random.default_rng(5)
     n, horizon = 400, 2
     const = rng.integers(0, 2, (6, 30))[rng.integers(0, 6, n)]
@@ -76,6 +83,94 @@ def test_grouping_wider_than_63_bits_matches_tuples():
         labels, n_blocks = system.partition_labels("A", t)
         assert labels.tolist() == expected
         assert n_blocks == len(first) > 6
+
+
+def test_grouping_packs_a_domain_with_gaps_by_its_largest_value():
+    # domain (0, 1, 4) needs 3 bits, not the 2 that 3 values would suggest:
+    # records (0, 4), (1, 0) and (1, 4) must stay apart
+    decls = [VariableDecl(name, (0, 1, 4), None, frozenset({"A"})) for name in "xy"]
+    system = InterpretedSystem(("A",), 0, decls, 4)
+    system.set_const("x", np.array([0, 1, 0, 1], dtype=np.uint8))
+    system.set_const("y", np.array([4, 0, 0, 4], dtype=np.uint8))
+    labels, n_blocks = system.finalize().partition_labels("A", 0)
+    assert labels.tolist() == [0, 1, 2, 3] and n_blocks == 4
+
+
+def _sorted_reference_labels(system, agent):
+    """class_labels at every time, rebuilt through the sort-based reference."""
+    names = system._basis(agent)
+    steps = [n for n in names if system._traces[n].kind == "step"]
+    found = [brute.group_sorted([system.class_column(n, 0) for n in names],
+                                [system.variables[n].bits() for n in names], None)]
+    for t in range(1, system.horizon + 1):
+        prev, n_prev = found[-1]
+        found.append(brute.group_sorted([system.class_column(n, t) for n in steps],
+                                        [system.variables[n].bits() for n in steps],
+                                        (system.widen(prev, system.n_classes(t)), n_prev)))
+    return found
+
+
+def _assert_labels_match_reference(system):
+    counts = {}
+    for agent in system.agents:
+        for t, (expected, n_expected) in enumerate(_sorted_reference_labels(system, agent)):
+            labels, n_blocks = system.class_labels(agent, t)
+            assert np.array_equal(labels, expected) and labels.dtype == np.int64
+            assert n_blocks == n_expected
+            counts.setdefault(agent, []).append(n_blocks)
+    return counts
+
+
+def test_class_labels_match_the_sorted_reference_on_the_naive_system(naive2):
+    counts = _assert_labels_match_reference(naive2)
+    assert counts == {a: [6, 96, 1536, 17408, 188416] for a in naive2.agents}
+
+
+def test_class_labels_match_the_sorted_reference_at_eight_slots():
+    system = generate_runs(dc.build_cdc(dc.DcParams(slots=8)), dc.unknown_scenario(slots=8),
+                           "reduced")
+    assert system.variables["C1.slot_request"].bits() == 4
+    _assert_labels_match_reference(system)
+
+
+@st.composite
+def _grouping_inputs(draw):
+    n = draw(st.integers(0, 40))
+    bits = draw(st.lists(st.integers(1, 8), max_size=6))
+    cols = [np.array(draw(st.lists(st.integers(0, (1 << b) - 1), min_size=n, max_size=n)),
+                     dtype=np.uint8) for b in bits]
+    prev = None
+    if draw(st.booleans()) or not bits:
+        n_prev = draw(st.integers(1, max(1, n)))
+        prev = (np.array(draw(st.lists(st.integers(0, n_prev - 1), min_size=n, max_size=n)),
+                         dtype=np.int64), n_prev)
+    return cols, bits, prev
+
+
+@given(_grouping_inputs())
+@example(([np.arange(4, dtype=np.uint8) * 60 for _ in range(3)], [8, 8, 8], None))
+@example(([np.array([1, 0, 1, 0, 1], dtype=np.uint8)] * 4, [1, 2, 3, 1],
+          (np.array([2, 2, 0, 1, 0]), 3)))
+@settings(max_examples=300, deadline=None)
+def test_grouping_matches_the_sorted_reference(case):
+    # small class counts against keys of up to 48 bits force the relabel
+    cols, bits, prev = case
+    spaces, first_occurrence = [], model._first_occurrence
+
+    def spy(keys, space):
+        spaces.append(space)
+        return first_occurrence(keys, space)
+
+    with mock.patch.object(model, "_first_occurrence", spy):
+        labels, n_blocks = InterpretedSystem._group(cols, bits, prev)
+    n = len(labels)
+    assert max(spaces) <= max(n, 1) << max(bits, default=0)     # the table's size
+    expected, n_expected = brute.group_sorted(cols, bits, prev)
+    assert np.array_equal(labels, expected) and n_blocks == n_expected
+    records = list(zip(*([] if prev is None else [prev[0].tolist()]),
+                       *(c.tolist() for c in cols)))
+    first = {}
+    assert labels.tolist() == [first.setdefault(r, len(first)) for r in records]
 
 
 def test_observation_of_figure_pair(sys_unknown):
