@@ -32,18 +32,18 @@ Every statement is a formula: an announcement is read at time step-1, an
 assignment at time step.  The implementation's statements are its local
 expressions compiled to formulas; the knowledge-based program's are the
 knowledge formulas themselves, so the loop does not tell the two apart.
-Each local latches at one step (the build checks it), so nothing at a time
-before the current step is written again, and one Evaluator serves every
-announcement of the build.  Each assignment gets a fresh one:
-the loop writes each latched column in place, so within a step an assignment
-reads false from a local that a later assignment writes, and the new value
-from one that an earlier assignment wrote.
+Each local is assigned once (the build checks it), so nothing at a time
+before the current step is written again.  Within a step the loop writes the
+latched columns in place, statement by statement and agent by agent, and a
+statement reads false from a local that it or a later statement of the step
+assigns, by any agent, and the new value from one an earlier statement wrote.
+Those reads are compiled to false (_step_statements), so no memoized value
+is computed from a column written afterwards: one Evaluator serves the build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -116,45 +116,62 @@ class ProtocolModel:
 
 
 def _validate_program(program: AgentProgram):
-    """Statements read the present only, and a local latches at one step: a
-    second write would change what earlier steps read."""
+    """Statements read the present only, and a local is assigned once: a
+    second write would change what the statements between the two read."""
     latch = {}
     for step, block in enumerate(program.phases, start=1):
         for phi in (block.announce, *(stmt.formula for stmt in block.post)):
             if fm.x_depth(phi):
                 raise UsageError("program statements must refer to the present time (no X)")
         for stmt in block.post:
-            first = latch.setdefault(stmt.var, step)
-            if first != step:
+            if stmt.var in latch:
                 raise ModelError(f"{program.agent}.{stmt.var} is assigned at steps "
-                                 f"{first} and {step}")
+                                 f"{latch[stmt.var]} and {step}")
+            latch[stmt.var] = step
+
+
+def _step_statements(model: ProtocolModel, step: int):
+    """The (agent, Assign) statements of a step in loop order, compiled as the
+    build reads them: an atom of a local that this statement or a later one of
+    the step assigns is the constant that local reads before its write."""
+    stmts = [(a, stmt) for a in model.agents for stmt in model.programs[a].phases[step - 1].post]
+    pending = {f"{a}.{stmt.var}" for a, stmt in stmts}
+    for a, stmt in stmts:
+        yield a, Assign(stmt.var, _unwritten(stmt.formula, pending))
+        pending.discard(f"{a}.{stmt.var}")
+
+
+def _unwritten(phi: fm.Formula, pending: set) -> fm.Formula:
+    """phi with each atom of a `pending` local read as the atom against 0."""
+    if not fm.atom_names(phi) & pending:
+        return phi
+    if isinstance(phi, fm.Atom):
+        return fm.Const((phi.op == "==") == (phi.value == 0))
+    if isinstance(phi, (fm.Not, fm.Know, fm.Next)):
+        return replace(phi, child=_unwritten(phi.child, pending))
+    return type(phi)(_unwritten(phi.left, pending), _unwritten(phi.right, pending))
 
 # ---------------------------------------------------------------------------
 # Initial assignments
 
 
-def admissible_assignments(model: ProtocolModel, scenario: Scenario):
-    """All initial assignments the scenario admits, in lexicographic order
-    (slot_request vector first, then msg vector)."""
+def admissible_assignments(model: ProtocolModel, scenario: Scenario) -> np.ndarray:
+    """All initial assignments the scenario admits, one row each of an
+    (assignment, (slot_request, msg), agent) uint8 array, in lexicographic
+    order (slot_request vector first, then msg vector)."""
     agents = model.agents
     try:
-        sr_domains = [tuple(scenario.slot_request[a]) for a in agents]
-        msg_domains = [tuple(scenario.msg[a]) for a in agents]
+        domains = [scenario.slot_request[a] for a in agents] + [scenario.msg[a] for a in agents]
     except KeyError as exc:
         raise UsageError(f"scenario {scenario.name!r} has no domain for agent {exc}")
-    out = []
-    for combo in product(*sr_domains, *msg_domains):
-        sr, msg = combo[:len(agents)], combo[len(agents):]
-        if scenario.constraint is not None:
-            valuation = {}
-            for a, v in zip(agents, sr):
-                valuation[f"{a}.slot_request"] = v
-            for a, v in zip(agents, msg):
-                valuation[f"{a}.msg"] = int(v)
-            if not fm.eval_on_valuation(scenario.constraint, valuation):
-                continue
-        out.append((sr, msg))
-    if not out:
+    index = np.indices([len(d) for d in domains]).reshape(len(domains), -1)
+    columns = [np.asarray(d, dtype=np.uint8)[i] for d, i in zip(domains, index)]
+    out = np.stack(columns, axis=1).reshape(-1, 2, len(agents))
+    if scenario.constraint is not None:
+        names = [f"{a}.{var}" for var in ("slot_request", "msg") for a in agents]
+        keep = fm.eval_on_valuation(scenario.constraint, dict(zip(names, columns)))
+        out = out[np.broadcast_to(keep, len(out))]
+    if not len(out):
         raise UsageError(f"unsatisfiable scenario {scenario.name!r}")
     return out
 
@@ -213,19 +230,18 @@ def _declare(model: ProtocolModel, engine_mode: str, coarse: bool):
     return decls
 
 
-def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: list,
+def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: np.ndarray,
                  repeat: int) -> dict:
-    """Set the initial and latched traces, each initial assignment repeated
+    """Set the initial and latched traces, each assignment row of `vs` repeated
     `repeat` times; returns the latched arrays, which the loop fills in place."""
     latched = {}
-    initial = np.asarray(vs, dtype=np.uint8)    # assignment x (slot_request, msg) x agent
     for i, a in enumerate(model.agents):
         program = model.programs[a]
         for name in program.locals_:
             flat = f"{a}.{name}"
             if name in ("slot_request", "msg"):
                 k = 0 if name == "slot_request" else 1
-                system.set_const(flat, initial[:, k, i].repeat(repeat))
+                system.set_const(flat, vs[:, k, i].repeat(repeat))
                 continue
             step = program.assignment_step(name)
             arr = np.zeros(system.n_runs, dtype=np.uint8)
@@ -301,19 +317,17 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
                 oxr[a][step] = rr ^ contrib[a][step]
             return rr
 
-    announcements = fm.Evaluator(system)
+    evaluator = fm.Evaluator(system)
     for step in range(1, T + 1):
         # announcements read the time step-1 view only, so writing one agent's
         # contribution at `step` cannot affect another's
         for a in model.agents:
-            contrib[a][step] = announcements.vector(
-                model.programs[a].phases[step - 1].announce, step - 1)
+            contrib[a][step] = evaluator.vector(model.programs[a].phases[step - 1].announce,
+                                                step - 1)
+        evaluator.memo.clear()      # what it holds is at time step-1, which nothing reads again
         latched[f"rr[{step}]"][:] = publish(step)
-        for a in model.agents:
-            for stmt in model.programs[a].phases[step - 1].post:
-                # fresh: an earlier assignment of this step may have written
-                # a column this one reads
-                latched[f"{a}.{stmt.var}"][:] = fm.Evaluator(system).vector(stmt.formula, step)
+        for a, stmt in _step_statements(model, step):
+            latched[f"{a}.{stmt.var}"][:] = evaluator.vector(stmt.formula, step)
     system.meta["contrib"] = contrib
     return system.finalize()
 
@@ -343,21 +357,20 @@ def rr_vector(system: InterpretedSystem, run: int) -> list:
 
 def verify_kbp_fixpoint(system: InterpretedSystem, model: ProtocolModel) -> bool:
     """Re-evaluate every statement of the program that tests knowledge inside
-    the built system, and check that it gives back what the system was built
-    with: an announcement at step-1 its contributions, an assignment at step
-    its latched column."""
+    the built system, as the build compiled it (_step_statements), and check
+    that it gives back what the system was built with: an announcement at
+    step-1 its contributions, an assignment at step its latched column."""
     evaluator = fm.Evaluator(system)
     contrib = system.meta["contrib"]
     for step in range(1, model.horizon + 1):
-        for a in model.agents:
-            block = model.programs[a].phases[step - 1]
-            checks = [(block.announce, step - 1, contrib[a][step])]
-            checks += [(stmt.formula, step, system.column(f"{a}.{stmt.var}", step))
-                       for stmt in block.post]
-            for phi, time, built in checks:
-                if _tests_knowledge(phi) and not np.array_equal(
-                        evaluator.vector(phi, time), built.astype(bool)):
-                    return False
+        checks = [(model.programs[a].phases[step - 1].announce, step - 1, contrib[a][step])
+                  for a in model.agents]
+        checks += [(stmt.formula, step, system.column(f"{a}.{stmt.var}", step))
+                   for a, stmt in _step_statements(model, step)]
+        for phi, time, built in checks:
+            if _tests_knowledge(phi) and not np.array_equal(
+                    evaluator.vector(phi, time), built.astype(bool)):
+                return False
     return True
 
 

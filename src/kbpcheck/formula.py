@@ -169,6 +169,12 @@ def x_depth(phi: Formula) -> int:
     return max(x_depth(phi.left), x_depth(phi.right))
 
 
+@lru_cache(maxsize=8192)
+def atom_names(phi: Formula) -> frozenset:
+    # cached like x_depth: the engine asks it of every statement it builds
+    return frozenset(atom.name for atom in atoms_of(phi))
+
+
 def atoms_of(phi: Formula):
     if isinstance(phi, Atom):
         yield phi
@@ -608,24 +614,29 @@ def explain_know_failure(system: InterpretedSystem, phi: Formula, point: Point,
     return search(phi, point.time)
 
 
-def eval_on_valuation(phi: Formula, valuation: dict) -> bool:
-    """Evaluate a K/X-free formula on a single valuation (scenario constraints,
-    and the tests' scalar reference for compiled local expressions)."""
-    if isinstance(phi, Const):
-        return phi.value
-    if isinstance(phi, Atom):
-        if phi.name not in valuation:
-            raise UsageError(f"constraint reads {phi.name!r}, not an initial variable")
-        raw = int(valuation[phi.name])
-        return (raw == phi.value) if phi.op == "==" else (raw != phi.value)
-    if isinstance(phi, Not):
-        return not eval_on_valuation(phi.child, valuation)
-    if isinstance(phi, And):
-        return eval_on_valuation(phi.left, valuation) and eval_on_valuation(phi.right, valuation)
-    if isinstance(phi, Or):
-        return eval_on_valuation(phi.left, valuation) or eval_on_valuation(phi.right, valuation)
-    if isinstance(phi, Implies):
-        return (not eval_on_valuation(phi.left, valuation)) or eval_on_valuation(phi.right, valuation)
-    if isinstance(phi, Iff):
-        return eval_on_valuation(phi.left, valuation) == eval_on_valuation(phi.right, valuation)
-    raise UsageError("scenario constraints may not use K, Khat or X")
+def eval_on_valuation(phi: Formula, valuation: dict):
+    """Evaluate a K/X-free formula on one valuation (a bool) or on columns of
+    valuations, one row each (a bool array): scenario constraints, and the
+    tests' scalar reference for compiled local expressions."""
+    def value(phi):
+        if isinstance(phi, Const):
+            return np.bool_(phi.value)
+        if isinstance(phi, Atom):
+            if phi.name not in valuation:
+                raise UsageError(f"constraint reads {phi.name!r}, not an initial variable")
+            raw = np.asarray(valuation[phi.name])
+            return (raw == phi.value) if phi.op == "==" else (raw != phi.value)
+        if isinstance(phi, Not):
+            return ~value(phi.child)
+        if isinstance(phi, And):
+            return value(phi.left) & value(phi.right)
+        if isinstance(phi, Or):
+            return value(phi.left) | value(phi.right)
+        if isinstance(phi, Implies):
+            return ~value(phi.left) | value(phi.right)
+        if isinstance(phi, Iff):
+            return value(phi.left) == value(phi.right)
+        raise UsageError("scenario constraints may not use K, Khat or X")
+
+    out = value(phi)
+    return out if out.ndim else bool(out)

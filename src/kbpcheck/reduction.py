@@ -143,7 +143,7 @@ def engines_agree(model: ProtocolModel, scenario: Scenario, formula_suite: Seque
     reduced = reduced if reduced is not None else reduced_system(model, scenario)
     n_keys = naive.meta["n_key_schedules"]
     if (reduced.n_runs * n_keys != naive.n_runs or reduced.horizon != naive.horizon
-            or reduced.meta.get("assignments") != naive.meta.get("assignments")):
+            or not np.array_equal(reduced.meta.get("assignments"), naive.meta.get("assignments"))):
         raise UsageError(
             f"the reduced system ({reduced.n_runs:,} runs, horizon {reduced.horizon}) does not "
             f"quotient the naive one ({naive.n_runs:,} runs, {n_keys:,} key schedules per "

@@ -62,6 +62,12 @@ def reduced2(model2, scen2):
     return generate_runs(model2, scen2, "reduced")
 
 
+def assignment_pairs(vs):
+    """An assignment array (a system's meta["assignments"]) as a list of
+    (slot_request, msg) pairs of tuples, in row order."""
+    return [(tuple(sr), tuple(msg)) for sr, msg in vs.tolist()]
+
+
 def run_of(system, sr, msg):
     """Index of the run with the given initial assignment."""
-    return system.meta["assignments"].index((tuple(sr), tuple(msg)))
+    return assignment_pairs(system.meta["assignments"]).index((tuple(sr), tuple(msg)))

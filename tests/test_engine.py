@@ -1,14 +1,16 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import brute
-from conftest import run_of
+from conftest import assignment_pairs, run_of
 from kbpcheck import dc
 from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
-from kbpcheck.engine import (contribution_matrix, execute_kbp, generate_runs,
+from kbpcheck.engine import (AgentProgram, Assign, PhaseBlock, admissible_assignments,
+                             contribution_matrix, execute_kbp, generate_runs,
                              initial_vectors, rr_vector, verify_kbp_fixpoint)
 from kbpcheck.model import ModelError, Point, UsageError
 from scalar import eval_local_expr, observation_of, run_single
@@ -16,7 +18,7 @@ from scalar import eval_local_expr, observation_of, run_single
 
 def test_reduced_run_count_and_order(model3, scen_unknown, sys_unknown):
     assert sys_unknown.n_runs == 512     # 4^3 * 2^3
-    vs = sys_unknown.meta["assignments"]
+    vs = assignment_pairs(sys_unknown.meta["assignments"])
     assert vs == sorted(vs)              # canonical lexicographic order
     again = generate_runs(model3, scen_unknown, "reduced")
     for name in sys_unknown.variables:
@@ -60,6 +62,47 @@ def test_unsatisfiable_scenario_rejected(model3):
         generate_runs(model3, scen, "reduced")
 
 
+def _product_pairs(model, scenario):
+    """The reference enumeration: itertools.product over the domains,
+    slot_request vector first, as (slot_request, msg) pairs of tuples."""
+    k = len(model.agents)
+    combos = itertools.product(*(scenario.slot_request[a] for a in model.agents),
+                               *(scenario.msg[a] for a in model.agents))
+    return [(tuple(map(int, c[:k])), tuple(map(int, c[k:]))) for c in combos]
+
+
+@pytest.mark.parametrize("slots", [2, 3, 4])
+@pytest.mark.parametrize("name", ["unknown", "referendum", "pinned"])
+def test_assignment_array_is_the_product_in_lexicographic_order(name, slots):
+    model = dc.build_cdc(dc.DcParams(slots=slots))
+    scenario = (dc.pinned_scenario([1, slots, 0], [1, 0, 1], slots=slots) if name == "pinned"
+                else dc.scenario_by_name(name, slots))
+    vs = admissible_assignments(model, scenario)
+    assert vs.dtype == np.uint8 and vs.shape[1:] == (2, 3)
+    assert assignment_pairs(vs) == _product_pairs(model, scenario)
+
+
+def test_assignment_array_keeps_the_rows_the_scalar_constraint_keeps(model3):
+    text = ("(conflict(1) || !(C3.msg == 1)) => "
+            "(C1.slot_request == 2 <=> C2.msg == 0) && C3.slot_request != 3")
+    scenario = dc.custom_scenario(text)
+    names = [f"{a}.{var}" for var in ("slot_request", "msg") for a in model3.agents]
+    expected = [(sr, msg) for sr, msg in _product_pairs(model3, scenario)
+                if fm.eval_on_valuation(scenario.constraint, dict(zip(names, sr + msg)))]
+    assert 0 < len(expected) < 512
+    assert assignment_pairs(admissible_assignments(model3, scenario)) == expected
+
+
+def test_assignment_errors_keep_their_texts(model3):
+    with pytest.raises(UsageError, match="^unsatisfiable scenario 'custom'$"):
+        admissible_assignments(model3, dc.custom_scenario("C1.msg == 1 && !(C1.msg == 1)"))
+    with pytest.raises(UsageError,
+                       match=r"^constraint reads 'rr\[1\]', not an initial variable$"):
+        admissible_assignments(model3, dc.custom_scenario("RR[1] && C1.msg == 1"))
+    with pytest.raises(UsageError, match="^scenario constraints may not use K, Khat or X$"):
+        admissible_assignments(model3, dc.custom_scenario("K[C1](C1.msg == 1)"))
+
+
 def test_custom_scenario_constraint(model3):
     scen = dc.custom_scenario("C1.slot_request == 2 && C2.slot_request != 0")
     system = generate_runs(model3, scen, "reduced")
@@ -93,7 +136,6 @@ def test_local_statements_read_the_columns_written_before_them(scen_unknown):
 def test_knowledge_assignment_reads_an_earlier_assignment_of_its_step():
     # C1 at step 3: rcvd0[1] := rcvd1[1]; rcvd1[1] := K...; dlvrd := rcvd1[1].
     # Each assignment reads the columns as the step has written them so far.
-    from kbpcheck.engine import AgentProgram, Assign, PhaseBlock
     model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
     prog = model.programs["C1"]
     phases = list(prog.phases)
@@ -112,15 +154,70 @@ def test_knowledge_assignment_reads_an_earlier_assignment_of_its_step():
     assert not system.column("C1.rcvd0[1]", end).any()
 
 
+def test_fixpoint_rechecks_a_read_before_the_write_of_its_step():
+    # C1 at step 3: rcvd0[1] := K[C1](C1.rcvd1[1] == 1), then rcvd1[1] := K...
+    # The first reads rcvd1[1] before its write, so false; the check re-reads
+    # the statement as the build compiled it
+    model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
+    prog = model.programs["C1"]
+    phases = list(prog.phases)
+    (rcvd1,) = [stmt for stmt in phases[2].post if stmt.var == "rcvd1[1]"]
+    early = fm.Know("C1", fm.Atom("C1", "rcvd1[1]", "==", 1))
+    phases[2] = PhaseBlock(phases[2].announce, (Assign("rcvd0[1]", early), rcvd1))
+    model.programs["C1"] = AgentProgram("C1", prog.locals_, tuple(phases))
+    system = execute_kbp(model, dc.unknown_scenario(slots=2))
+    end = system.horizon
+    assert not system.column("C1.rcvd0[1]", end).any()
+    assert int(system.column("C1.rcvd1[1]", end).sum()) == 36
+    assert verify_kbp_fixpoint(system, model)
+    system.column("C1.rcvd0[1]", end)[0] ^= 1
+    assert not verify_kbp_fixpoint(system, model)
+
+
+def test_a_step_reads_a_later_agent_assignment_as_false_and_an_earlier_one_as_written():
+    # C2 assigns rcvd1[1] at step 3.  C1, whose statements run before C2's,
+    # reads it false there, bare and inside a K body; C3, after C2, reads what
+    # C2 wrote.  One evaluator serves the build, so C3's reads must not reuse
+    # values computed for C1's
+    model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
+    bare = fm.Atom("C2", "rcvd1[1]", "==", 1)
+    for agent in ("C1", "C3"):
+        prog = model.programs[agent]
+        phases = list(prog.phases)
+        phases[2] = PhaseBlock(phases[2].announce, (
+            Assign("rcvd0[1]", bare), phases[2].post[1], Assign("dlvrd", fm.Know("C2", bare))))
+        phases[3] = PhaseBlock(phases[3].announce,
+                               tuple(stmt for stmt in phases[3].post if stmt.var != "dlvrd"))
+        model.programs[agent] = AgentProgram(agent, prog.locals_, tuple(phases))
+    system = execute_kbp(model, dc.unknown_scenario(slots=2))
+    end = system.horizon
+    written = system.column("C2.rcvd1[1]", end)
+    assert written.any()
+    for name in ("rcvd0[1]", "dlvrd"):
+        assert not system.column(f"C1.{name}", end).any()
+        assert np.array_equal(system.column(f"C3.{name}", end), written)
+    assert verify_kbp_fixpoint(system, model)
+
+
 def test_a_local_assigned_at_two_steps_is_refused():
     # a second write would rewrite what the steps between read
-    from kbpcheck.engine import AgentProgram, Assign, PhaseBlock
     model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
     prog = model.programs["C1"]
     phases = list(prog.phases)
     phases[2] = PhaseBlock(phases[2].announce, phases[2].post + (Assign("dlvrd", fm.TRUE),))
     model.programs["C1"] = AgentProgram("C1", prog.locals_, tuple(phases))
     with pytest.raises(ModelError, match=r"C1\.dlvrd is assigned at steps 3 and 4"):
+        execute_kbp(model, dc.unknown_scenario(slots=2))
+
+
+def test_a_local_assigned_twice_in_one_step_is_refused():
+    # the second write would change what the statements between read
+    model = dc.build_cdc(dc.DcParams(slots=2), kbp=True)
+    prog = model.programs["C1"]
+    phases = list(prog.phases)
+    phases[3] = PhaseBlock(phases[3].announce, phases[3].post + (Assign("dlvrd", fm.TRUE),))
+    model.programs["C1"] = AgentProgram("C1", prog.locals_, tuple(phases))
+    with pytest.raises(ModelError, match=r"C1\.dlvrd is assigned at steps 4 and 4"):
         execute_kbp(model, dc.unknown_scenario(slots=2))
 
 
@@ -228,7 +325,6 @@ def test_kbp_fixpoint_catches_flipped_knowledge_choices(mode):
 
 
 def test_kbp_with_trivial_test_behaves_as_constant_true(scen_unknown):
-    from kbpcheck.engine import AgentProgram, PhaseBlock
     base = dc.build_cdc(dc.DcParams(), kbp=True)
     programs = {}
     for agent, prog in base.programs.items():
@@ -254,7 +350,7 @@ def test_kbp_with_trivial_test_behaves_as_constant_true(scen_unknown):
 
 def test_conservative_kbp_backs_off_when_three_way_possible(kbp_systems, sys_unknown):
     _, ksys = kbp_systems["conservative"]
-    vs = ksys.meta["assignments"]
+    vs = assignment_pairs(ksys.meta["assignments"])
     contrib = ksys.meta["contrib"]
     # solo requester with quiet other slots cannot rule out the 3-way world
     i = vs.index(((2, 2, 2), (1, 1, 1)))
@@ -268,7 +364,6 @@ def test_conservative_kbp_backs_off_when_three_way_possible(kbp_systems, sys_unk
 
 @pytest.mark.parametrize("where", ["announce", "assign"])
 def test_kbp_future_time_test_rejected(scen_unknown, where):
-    from kbpcheck.engine import AgentProgram, Assign, PhaseBlock
     model = dc.build_cdc(dc.DcParams(), kbp=True)
     prog = model.programs["C1"]
     bad = fm.Next(fm.Know("C1", dc.conflict_macro(1)))

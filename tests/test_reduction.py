@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import brute
+from conftest import assignment_pairs
 from kbpcheck import dc
 from kbpcheck import formula as fm
 from kbpcheck.engine import execute_kbp, generate_runs, reduced_system, verify_kbp_fixpoint
@@ -19,7 +20,7 @@ def test_engine_mode_validation(model2, scen2):
 
 def _stored_pairs(system, assignment, agent, time):
     # the (own contribution, xor of the others') pairs stored for one run
-    run = system.meta["assignments"].index(assignment)
+    run = assignment_pairs(system.meta["assignments"]).index(assignment)
     return tuple((int(system.column(f"{agent}.contrib", u)[run]),
                   int(system.column(f"{agent}.oxr", u)[run]))
                  for u in range(1, time + 1))
@@ -49,7 +50,7 @@ def test_stored_invariant_pairs_match_brute_force(sys_unknown):
     for i, agent in enumerate(sys_unknown.agents):
         own = np.stack([sys_unknown.column(f"{agent}.contrib", u) for u in steps], axis=1)
         oxr = np.stack([sys_unknown.column(f"{agent}.oxr", u) for u in steps], axis=1)
-        for run, v in enumerate(sys_unknown.meta["assignments"]):
+        for run, v in enumerate(assignment_pairs(sys_unknown.meta["assignments"])):
             pairs = tuple(zip(own[run].tolist(), oxr[run].tolist()))
             for t in range(sys_unknown.horizon + 1):
                 assert pairs[:t] == brute.observation(v, i, t)[1:]
@@ -229,6 +230,23 @@ def test_naive_kbp_is_the_reduced_kbp_on_every_key_schedule(scen2, mode):
     report = engines_agree(model, scen2, KBP_SUITE, seed=3, n_random=40, naive=naive)
     assert report.ok
     assert report.formulas == len(KBP_SUITE) + 40
+
+
+@pytest.mark.parametrize("mode", dc.MODES)
+def test_pinned_three_slot_naive_kbp_is_the_reduced_kbp(mode):
+    # C1 and C2 pinned, C3 free: 8 assignments x 2^18 key schedules
+    model = dc.build_cdc(dc.DcParams(mode=mode), kbp=True)
+    scenario = dc.custom_scenario("C1.slot_request == 1 && C1.msg == 1 && "
+                                  "C2.slot_request == 2 && C2.msg == 0", 3)
+    naive = generate_runs(model, scenario, "naive")
+    assert naive.n_runs == 2_097_152
+    assert verify_kbp_fixpoint(naive, model)
+    suite = [(f"spec-{sid}-{agent}-{slot or 0}", dc.spec(sid, agent, slot)[0])
+             for sid in ("2", "3", "4a", "4b", "5", "6")
+             for agent, slot in dc.spec_instances(sid)]
+    report = engines_agree(model, scenario, suite, seed=1, n_random=40, naive=naive)
+    assert (report.formulas, report.checks) == (len(suite) + 40, 566)
+    assert report.ok and not report.mismatches
 
 
 @pytest.mark.parametrize("mode", dc.MODES)
