@@ -8,9 +8,8 @@ broadcast (slot reservation, then transmission) over a three-agent key ring.
 
 from .model import InterpretedSystem, ModelError, Point, UsageError, VariableDecl
 from .formula import (Atom, Const, And, Or, Not, Implies, Iff, Know, Next,
-                      Evaluator, Verdict, check_valid_at, eval_at, fmt,
-                      parse_formula)
-from .localexpr import parse_local_expr
+                      Evaluator, LocalScope, Verdict, check_valid_at, eval_at,
+                      fmt, parse_formula)
 from .engine import (ENGINE_MODES, AgentProgram, Assign, PhaseBlock,
                      ProtocolModel, Scenario, execute_kbp, generate_runs,
                      verify_kbp_fixpoint)

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--file", required=True, help="ordered predicate list (JSON)")
     p.add_argument("--agent", default="C1")
-    p.add_argument("--slot", type=int, default=1)
+    p.add_argument("--slot", type=int, help="default 1; the dlvrd target takes none")
     p.add_argument("--formula", help="override the target knowledge formula")
     p.add_argument("--at", help="override the check time (res:N, tx:N or end)")
     p.set_defaults(entry=cmd_refine)
@@ -212,6 +212,11 @@ def cmd_refine(args) -> int:
         raise UsageError(f"predicate file mixes targets {sorted(targets)}")
     target = targets.pop()
     agent, slot = args.agent, args.slot
+    if target == "dlvrd":
+        if slot is not None:
+            raise UsageError(f"target dlvrd ranges over no slot, got slot {slot}")
+    elif slot is None:
+        slot = 1
     if target == "kc":
         # kc changes behaviour, so each candidate gets its own system; the
         # first is built here, to read the slot count and parse --formula

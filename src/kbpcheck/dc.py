@@ -40,7 +40,8 @@ from typing import Optional, Sequence
 
 from . import formula as fm
 from . import localexpr as le
-from .engine import AgentProgram, Assign, PhaseBlock, ProtocolModel, Scenario
+from .engine import (AgentProgram, Assign, PhaseBlock, ProtocolModel, Scenario,
+                     local_vocabulary)
 from .model import UsageError
 
 AGENTS = ("C1", "C2", "C3")
@@ -122,7 +123,7 @@ def _bad_arity(name, args):
 
 @dataclass(frozen=True)
 class PredicateDef:
-    """A named, slot-parameterized local predicate (text in the local grammar)."""
+    """A named, slot-parameterized local predicate: local-expression text."""
 
     name: str
     target: str
@@ -132,13 +133,9 @@ class PredicateDef:
         if self.target not in PREDICATE_TARGETS:
             raise UsageError(f"unknown predicate target {self.target!r}")
 
-    @property
-    def ast(self) -> le.LocalExpr:
-        return _parse_cached(self.expr)
-
-    def expr_for(self, slot: Optional[int]) -> le.LocalExpr:
+    def expr_for(self, slot: Optional[int]) -> str:
         """The expression the program assigns for `slot`; its 's' reads `slot`."""
-        return self.ast
+        return self.expr
 
 
 @dataclass
@@ -148,19 +145,14 @@ class PerSlotPredicate:
 
     name: str
     target: str
-    exprs: dict               # slot (or None) -> LocalExpr or text
+    exprs: dict               # slot (or None) -> text
 
-    def expr_for(self, slot: Optional[int]) -> le.LocalExpr:
+    def expr_for(self, slot: Optional[int]) -> str:
         # a synthesized table too wide to minimize has no expression (None)
         expr = self.exprs.get(slot)
         if expr is None:
             raise UsageError(f"{self.name}: no expression for slot {slot!r}")
-        return _parse_cached(expr) if isinstance(expr, str) else expr
-
-
-@lru_cache(maxsize=256)
-def _parse_cached(text: str) -> le.LocalExpr:
-    return le.parse_local_expr(text)
+        return expr
 
 
 def _cf1_body(n: int, s="s") -> str:
@@ -263,8 +255,7 @@ def _agent_program(agent: str, params: DcParams, predicates: Optional[dict],
     indexed = ("rcvd0", "rcvd1") if kbp else ("kc", "rcvd0", "rcvd1")
     locals_ = ["slot_request", "msg"] + [_target_var(t, s) for t in indexed for s in slots]
     locals_.append("dlvrd")
-    names = tuple(f"{agent}.{name}" for name in locals_) + \
-        tuple(f"rr[{t}]" for t in range(1, 2 * n + 1))
+    names = local_vocabulary(agent, locals_, 2 * n)
 
     # within a step: rcvd0[s], rcvd1[s], kc[s+1], then dlvrd
     post = {step: [] for step in range(1, 2 * n + 1)}
@@ -515,7 +506,7 @@ def load_predicates_file(path: str) -> list:
             raise UsageError(f"predicate file {path}: entries need name/target/expr strings")
         try:
             pred = PredicateDef(entry["name"], entry["target"], entry["expr"])
-            pred.ast  # parse now so errors carry the file context
+            le.to_formula(pred.expr, None, 0)   # check the syntax now, so errors name the file
         except UsageError as exc:
             raise UsageError(f"predicate file {path}: {exc}")
         out.append(pred)

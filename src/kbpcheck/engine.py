@@ -44,7 +44,7 @@ is computed from a column written afterwards: one Evaluator serves the build.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -113,6 +113,14 @@ class ProtocolModel:
 
     def agent_index(self, agent: str) -> int:
         return self.agents.index(agent) + 1
+
+
+def local_vocabulary(agent: str, locals_: Sequence[str], horizon: int) -> tuple:
+    """The flat names an agent's code may read: its own locals and the round
+    results rr[1..horizon].  The engines' other observations (contrib, oxr,
+    key bits, said[i]) are not among them."""
+    return tuple(f"{agent}.{name}" for name in locals_) + \
+        tuple(f"rr[{t}]" for t in range(1, horizon + 1))
 
 
 def _validate_program(program: AgentProgram):
@@ -213,7 +221,7 @@ def _declare(model: ProtocolModel, engine_mode: str, coarse: bool):
     decls = []
     for a in agents:
         for name in model.programs[a].locals_:
-            domain = tuple(range(model.slots + 1)) if name == "slot_request" else (False, True)
+            domain = tuple(range(model.slots + 1)) if name in fm.VALUED_LOCALS else (False, True)
             decls.append(VariableDecl(f"{a}.{name}", domain, a, frozenset({a})))
     for t in range(1, model.horizon + 1):
         decls.append(VariableDecl(f"rr[{t}]", (False, True), None, everyone))
@@ -274,7 +282,9 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
         raise UsageError(
             f"naive engine would enumerate {n:,} runs (> {max_naive_runs:,}); "
             f"use the reduced engine, or raise max_naive_runs explicitly")
-    meta = {"slots": model.slots, "assignments": vs}
+    meta = {"slots": model.slots, "assignments": vs,
+            "vocabulary": {a: local_vocabulary(a, model.programs[a].locals_, T)
+                           for a in model.agents}}
     if naive:
         meta["n_key_schedules"] = n_keys
     system = InterpretedSystem(model.agents, T, _declare(model, engine_mode, coarse), n,

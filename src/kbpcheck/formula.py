@@ -3,16 +3,29 @@
 Syntax:
 
     phi  := "true" | "false" | atom | "!" phi | phi "&&" phi | phi "||" phi
-          | phi "=>" phi | phi "<=>" phi
+          | phi "=>" phi | phi "<=>" phi | phi ("==" | "!=") phi
           | "K[" AGENT "](" phi ")" | "Khat[" AGENT "](" atom ")" | "X" phi
           | macro
     atom := (AGENT "." | "") IDENT ["[" INT "]"] ("==" | "!=") VALUE | "RR[" INT "]"
 
-Precedence: ! (and the prefix X) > && > || > (=>, <=>); binary operators are
-left-associative; parentheses override.  Khat[A](x) is expanded at parse time
-into K[A](x == true) || K[A](x == false).  Macros (conflict, sender, ...)
-expand to plain formulas; the caller passes the macro table in (for the case
-study, dc.dc_macros()), it is not read off a model.
+Precedence: ! (and the prefix X) > (==, !=) > && > || > (=>, <=>); binary
+operators are left-associative, but == and != between formulas do not chain
+(they are <=> and its negation); parentheses override.  Khat[A](x) is
+expanded at parse time into K[A](x == true) || K[A](x == false).  Macros
+(conflict, sender, ...) expand to plain formulas; the caller passes the macro
+table in (for the case study, dc.dc_macros()), it is not read off a model.
+
+A local expression, what an agent's own code may compute, is the same text
+read in a LocalScope.  A bare name is the agent's own local (read as == 1),
+rr[u] the round result, and an index INT | "s" (the slot) | VAR, optionally
+"+" INT.  NAME ("==" | "!=") index is an atom, where a bit compares with an
+INT only (so `msg == true` is msg <=> true); NAME "in" ("{" index, .. "}" |
+INT ".." INT ["except" index]) and "any" VAR "in" INT ".." INT ["except"
+index] ":" phi are left-folded disjunctions.  A bit's value is 0 or 1; only
+the VALUED_LOCALS hold a slot number.  An empty binder is false, its body
+only checked for syntax; K, Khat, X, macros, AGENT. prefixes, a bit compared
+with another value and a bare valued local are refused.  A name outside the scope's names is an unknown
+history variable, and rr[u] read before time u an unassigned one.
 
 Evaluation follows the standard clauses: an atom reads the valuation, X moves
 one step forward, and K[A](phi) holds at a point iff phi holds at every point
@@ -31,7 +44,7 @@ the engine-agreement oracle drops each node's entries after the last formula
 of its suite that contains the node.  Nodes compute their hash once, so a memo
 lookup does not walk the subtree.
 
-This is the library's one evaluator: agents' local expressions compile to
+This is the library's one evaluator: agents' local expressions parse to
 K/X-free formulas (localexpr.to_formula) and are evaluated here too.
 """
 
@@ -39,12 +52,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Union
 
 import numpy as np
 
-from .model import InterpretedSystem, Point, UsageError
+from .model import InterpretedSystem, ModelError, Point, UsageError
 
 # ---------------------------------------------------------------------------
 # AST
@@ -225,32 +238,55 @@ def _fmt(phi: Formula, outer: int) -> str:
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<int>\d+)
-  | (?P<op><=>|=>|\|\||&&|==|!=|[!()\[\].,])
+  | (?P<op>\.\.|<=>|=>|\|\||&&|==|!=|[!()\[\]{}.,:+])
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
 """, re.VERBOSE)
 
 MacroTable = dict  # name -> Callable[[list], Formula]
 
+VALUED_LOCALS = frozenset({"slot_request"})    # hold a slot number; every other local is a bit
 
-class Cursor:
-    """A token stream shared by the formula and local-expression parsers.
 
-    `pattern` names its token kinds by group ("ws" is skipped); `what`
-    prefixes every error message.
-    """
+@dataclass(frozen=True)
+class LocalScope:
+    """Where a local expression is read: `agent`'s code at `time`, for `slot`.
+    `names` are the flat names it may read (None: check the syntax only)."""
 
-    def __init__(self, text: str, pattern: re.Pattern, what: str):
-        self.what = what
+    agent: Optional[str]
+    time: int
+    slot: Optional[int]
+    names: Optional[tuple]
+
+
+@lru_cache(maxsize=8192)
+def _shared(phi: Formula) -> Formula:
+    """The first-built node equal to `phi`: parsed formulas share their equal
+    subtrees, which keeps the caches that hold them small."""
+    return phi
+
+
+class _Parser:
+    def __init__(self, text: str, model=None, macros: Optional[MacroTable] = None,
+                 scope: Optional[LocalScope] = None):
+        self.what = "formula" if scope is None else "local expression"
         self.tokens, pos = [], 0
         while pos < len(text):
-            m = pattern.match(text, pos)
+            m = _TOKEN.match(text, pos)
             if not m:
-                raise UsageError(f"{what}: bad character {text[pos]!r} at {pos}")
+                raise UsageError(f"{self.what}: bad character {text[pos]!r} at {pos}")
             pos = m.end()
             if m.lastgroup != "ws":
                 self.tokens.append((m.lastgroup, m.group(), m.start()))
         self.tokens.append(("eof", "", len(text)))
         self.i = 0
+        self.model = model
+        self.macros = macros or {}
+        self.scope = scope
+        self.bound = {}         # binder variable -> its value in the body being read
+        # > 0 while only the syntax is checked: no scope names, or an empty binder
+        self.dry = int(scope is not None and scope.names is None)
+
+    # tokens --------------------------------------------------------------
 
     def peek(self, ahead=0):
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -275,50 +311,63 @@ class Cursor:
             raise UsageError(f"{self.what}: expected an integer at {pos}")
         return int(text)
 
+    def ident(self, what):
+        kind, text, pos = self.next()
+        if kind != "name":
+            raise UsageError(f"{self.what}: expected {what} at {pos}")
+        return text
 
-class _Parser(Cursor):
-    def __init__(self, text: str, model=None, macros: Optional[MacroTable] = None):
-        super().__init__(text, _TOKEN, "formula")
-        self.model = model
-        self.macros = macros or {}
+    # connectives -----------------------------------------------------------
 
-    def parse(self) -> Formula:
+    def parse(self) -> Optional[Formula]:
         phi = self.parse_arrow()
         if self.peek()[0] != "eof":
             self.fail("trailing input")
-        return phi
+        return None if self.dry else phi
 
     def parse_arrow(self):
         phi = self.parse_or()
         while self.peek()[1] in ("=>", "<=>"):
             op = self.next()[1]
             rhs = self.parse_or()
-            phi = Implies(phi, rhs) if op == "=>" else Iff(phi, rhs)
+            phi = _shared(Implies(phi, rhs) if op == "=>" else Iff(phi, rhs))
         return phi
 
     def parse_or(self):
         phi = self.parse_and()
         while self.peek()[1] == "||":
             self.next()
-            phi = Or(phi, self.parse_and())
+            phi = _shared(Or(phi, self.parse_and()))
         return phi
 
     def parse_and(self):
-        phi = self.parse_unary()
+        phi = self.parse_cmp()
         while self.peek()[1] == "&&":
             self.next()
-            phi = And(phi, self.parse_unary())
+            phi = _shared(And(phi, self.parse_cmp()))
+        return phi
+
+    def parse_cmp(self):
+        # e == e and e != e; an atom has taken its own comparison already
+        phi = self.parse_unary()
+        if self.peek()[1] in ("==", "!="):
+            op = self.next()[1]
+            phi = _shared(Iff(phi, self.parse_unary()))
+            if op == "!=":
+                phi = _shared(Not(phi))
         return phi
 
     def parse_unary(self):
         kind, text, pos = self.peek()
         if text == "!":
             self.next()
-            return Not(self.parse_unary())
-        if text == "X":
-            self.next()
-            return Next(self.parse_unary())
-        if text in ("K", "Khat") and self.peek(1)[1] == "[":
+            return _shared(Not(self.parse_unary()))
+        if text == "X" or (text in ("K", "Khat") and self.peek(1)[1] == "["):
+            if self.scope is not None:
+                self.fail(f"{text} reads beyond the agent's own state")
+            if text == "X":
+                self.next()
+                return _shared(Next(self.parse_unary()))
             return self.parse_know(text)
         return self.parse_primary()
 
@@ -328,15 +377,10 @@ class _Parser(Cursor):
         agent = self.ident("agent name")
         self.expect("]")
         self.expect("(")
-        if kw == "K":
-            body = self.parse_arrow()
-            self.expect(")")
-            self.check_agent(agent)
-            return Know(agent, body)
-        atom = self.parse_atom_or_ref()
+        body = self.parse_arrow() if kw == "K" else self.parse_atom_or_ref()
         self.expect(")")
         self.check_agent(agent)
-        return know_value(agent, atom)
+        return _shared(Know(agent, body)) if kw == "K" else know_value(agent, body)
 
     def parse_primary(self):
         kind, text, pos = self.peek()
@@ -351,23 +395,27 @@ class _Parser(Cursor):
         if text == "false":
             self.next()
             return FALSE
-        if kind == "name" and self.peek(1)[1] == "(" and text in self.macros:
-            return self.parse_macro(text)
-        if kind == "name" and self.peek(1)[1] == "(" and text not in ("K", "Khat"):
+        if kind == "name" and self.peek(1)[1] == "(":
+            if self.scope is not None:
+                self.fail("a local expression has no macros")
+            if text in self.macros:
+                return self.parse_macro(text)
             raise UsageError(f"formula: unknown macro {text!r} at {pos}"
                              + ("" if self.macros else " (no model bound)"))
+        if self.scope is not None:
+            return self.parse_any() if text == "any" else self.parse_local()
         return self.parse_atom_or_ref(require_cmp=True)
+
+    # formulas: atoms and macros ----------------------------------------------
 
     def parse_macro(self, name):
         self.next()
         self.expect("(")
-        args = []
-        if self.peek()[1] != ")":
-            args.append(self.macro_arg())
-            while self.peek()[1] == ",":
-                self.next()
-                args.append(self.macro_arg())
-        self.expect(")")
+        if self.peek()[1] == ")":
+            self.next()
+            args = []
+        else:
+            args = self.listed(self.macro_arg, ")")
         try:
             return self.macros[name](args)
         except UsageError:
@@ -396,7 +444,6 @@ class _Parser(Cursor):
         if self.peek()[1] == ".":
             self.next()
             agent = name
-            self.check_agent(agent)
             name = self.ident("variable name")
         if self.peek()[1] == "[":
             self.next()
@@ -410,12 +457,6 @@ class _Parser(Cursor):
         if require_cmp:
             self.fail(f"atom {name!r} needs '== value' or '!= value'")
         return self.validated(Atom(agent, name, "==", 1))
-
-    def ident(self, what):
-        kind, text, pos = self.next()
-        if kind != "name":
-            raise UsageError(f"formula: expected {what} at {pos}")
-        return text
 
     def value_lit(self):
         kind, text, pos = self.next()
@@ -432,25 +473,141 @@ class _Parser(Cursor):
             raise UsageError(f"formula: unknown agent {agent!r}")
 
     def validated(self, atom: Atom) -> Atom:
-        if self.model is None:
-            return atom
         if atom.agent is not None:
             self.check_agent(atom.agent)
         decls = getattr(self.model, "variables", None)
-        if decls is not None and atom.name not in decls:
-            raise UsageError(f"formula: unknown variable {atom.name!r}")
         if decls is not None:
-            dom = {int(v) for v in decls[atom.name].domain}
-            if atom.value not in dom:
+            if atom.name not in decls:
+                raise UsageError(f"formula: unknown variable {atom.name!r}")
+            if atom.value not in {int(v) for v in decls[atom.name].domain}:
                 raise UsageError(
                     f"formula: value {atom.value} outside the domain of {atom.name!r}")
-        return atom
+        return _shared(atom)
+
+    # local expressions: reads of the scope's agent ---------------------------
+
+    def parse_local(self):
+        base = self.ident("an expression")
+        if self.peek()[1] == ".":
+            self.fail(f"{base}. names another agent's state")
+        index = None
+        if self.peek()[1] == "[":
+            self.next()
+            index = self.index()
+            self.expect("]")
+        op = self.peek()[1]
+        if op == "in":
+            self.next()
+            return self.disj([self.read(base, index, "==", v) for v in self.members()])
+        # a valued local compares with an index term, a bit with an integer
+        # only: `msg == true` is the equivalence of two expressions
+        valued = index is None and base in VALUED_LOCALS
+        if op in ("==", "!=") and (valued or self.peek(1)[0] == "int"):
+            self.next()
+            return self.read(base, index, op, self.index())
+        if valued:
+            self.fail(f"expected ==, != or in after {base}")
+        return self.read(base, index)
+
+    def read(self, base, index, op="==", value=1):
+        """The atom of a local read: rr[u] is the round result, any other name
+        one of the agent's own locals."""
+        if value not in (0, 1) and not (index is None and base in VALUED_LOCALS):
+            self.fail(f"value {value} outside the domain of the bit {base!r}")
+        if self.dry:
+            return FALSE
+        scope = self.scope
+        name = base if index is None else f"{base}[{index}]"
+        atom = Atom(None if base == "rr" and index is not None else scope.agent, name, op, value)
+        if atom.name not in scope.names:
+            raise ModelError(f"unknown history variable {name!r} (agent {scope.agent})")
+        if atom.agent is None and index > scope.time:
+            raise ModelError(f"unassigned history variable {name!r} read at time "
+                             f"{scope.time} (agent {scope.agent})")
+        return _shared(atom)
+
+    def index(self):
+        """INT | s | VAR, optionally + INT: its value in the scope."""
+        kind, text, pos = self.next()
+        if kind not in ("int", "name"):
+            raise UsageError(f"{self.what}: bad index at {pos}")
+        offset = 0
+        if self.peek()[1] == "+":
+            self.next()
+            offset = self.int_lit()
+        if kind == "int" or self.dry:
+            return offset + (int(text) if kind == "int" else 0)
+        if text == "s":
+            if self.scope.slot is None:
+                raise UsageError("expression uses the slot parameter 's' but no slot was given")
+            return self.scope.slot + offset
+        if text not in self.bound:
+            raise UsageError(f"unbound index variable {text!r}")
+        return self.bound[text] + offset
+
+    def members(self):
+        """The values after `in`: {i, ..} or a span."""
+        if self.peek()[1] != "{":
+            return self.span()
+        self.next()
+        return self.listed(self.index, "}")
+
+    def listed(self, item, close):
+        """item ("," item)* close: the items."""
+        items = [item()]
+        while self.peek()[1] == ",":
+            self.next()
+            items.append(item())
+        self.expect(close)
+        return items
+
+    def span(self):
+        """lo..hi [except i]: the integers from lo to hi, but i."""
+        lo = self.int_lit()
+        self.expect("..")
+        hi = self.int_lit()
+        excluded = None
+        if self.peek()[1] == "except":
+            self.next()
+            excluded = self.index()
+        return [v for v in range(lo, hi + 1) if v != excluded]
+
+    def parse_any(self):
+        """any v in lo..hi [except i]: e, the disjunction of e over the span.
+        The body is read once per value; an empty span is false, and its body
+        is only checked for syntax."""
+        self.expect("any")
+        var = self.ident("a binder variable")
+        self.expect("in")
+        values = self.span()
+        self.expect(":")
+        start, outer = self.i, self.bound
+        self.bound = dict(outer)
+        parts = []
+        if self.dry or not values:
+            self.dry += 1
+            self.parse_arrow()
+            self.dry -= 1
+        else:
+            for v in values:
+                self.i = start
+                self.bound[var] = v
+                parts.append(self.parse_arrow())
+        self.bound = outer
+        return self.disj(parts)
+
+    def disj(self, parts):
+        # left-folded like fm.disj, with the nodes shared
+        return reduce(lambda out, part: _shared(Or(out, part)), parts) if parts else FALSE
 
 
-def parse_formula(text: str, model=None, macros: Optional[MacroTable] = None) -> Formula:
+def parse_formula(text: str, model=None, macros: Optional[MacroTable] = None,
+                  scope: Optional[LocalScope] = None) -> Optional[Formula]:
     """Parse a formula; `model` (a system) enables agent/variable/domain
-    validation and `macros` supplies the macro expansions."""
-    return _Parser(text, model, macros).parse()
+    validation and `macros` supplies the macro expansions.  With a `scope`
+    the text is a local expression, read in the scope's agent code (module
+    docstring); a scope without names checks the syntax and returns None."""
+    return _Parser(text, model, macros, scope).parse()
 
 # ---------------------------------------------------------------------------
 # Evaluation

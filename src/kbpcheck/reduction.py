@@ -51,11 +51,11 @@ def random_formulas(system: InterpretedSystem, seed: int, count: int,
 
 
 def _atom_pool(system: InterpretedSystem) -> list:
+    # the programs' vocabulary: the agents' locals and rr, no key material
+    vocabulary = set().union(*system.meta["vocabulary"].values())
     pool = []
     for name, decl in system.variables.items():
-        if decl.owner is None and not name.startswith("rr["):
-            continue  # keys and raw announcements are not key-free vocabulary
-        if name.endswith((".contrib", ".oxr")) or name in system.excluded_atoms:
+        if name not in vocabulary:
             continue
         agent, _, var = name.rpartition(".")
         agent = agent or None

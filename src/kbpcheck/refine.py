@@ -141,19 +141,12 @@ def candidate_formula(system: InterpretedSystem, candidate, agent: str, time: in
     `expr_for(slot)` (PredicateDef, PerSlotPredicate, SynthesizedPredicate).
     """
     if isinstance(candidate, str):
-        expr = le.parse_local_expr(candidate)
+        text = candidate
     elif hasattr(candidate, "expr_for"):
-        expr = candidate.expr_for(slot)
+        text = candidate.expr_for(slot)
     else:
         raise UsageError(f"not a candidate predicate: {candidate!r}")
-    return le.to_formula(expr, agent, time, slot, system.observable_names(agent))
-
-
-def candidate_values(system: InterpretedSystem, candidate, agent: str,
-                     time: int, slot: Optional[int] = None) -> np.ndarray:
-    """Truth vector of a candidate predicate over all runs at `time`."""
-    phi = candidate_formula(system, candidate, agent, time, slot)
-    return fm.Evaluator(system).vector(phi, time)
+    return le.to_formula(text, agent, time, slot, system.meta["vocabulary"][agent])
 
 
 @dataclass
@@ -283,12 +276,12 @@ class SynthesizedPredicate:
         any_key = next(iter(self.mapping))
         return len(any_key) - 2
 
-    def expr_for(self, slot: Optional[int] = None) -> le.LocalExpr:
+    def expr_for(self, slot: Optional[int] = None) -> str:
         """The printed sum-of-products; the table itself is not a candidate."""
         if self.sop_text is None:
             raise UsageError(f"synthesized predicate for {self.formula} at time "
                              f"{self.time}: no expression (too wide to minimize)")
-        return le.parse_local_expr(self.sop_text)
+        return self.sop_text
 
     def to_json(self) -> dict:
         table = [{"class": list(map(int, key)), "value": bool(v)}

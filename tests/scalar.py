@@ -78,17 +78,15 @@ def run_single(model, sr, msg, key_bits) -> list:
 
 
 def eval_local(expr, agent, time, valuation: dict, slot=None) -> bool:
-    """Value of a local expression (text or AST) in the agent's code at
-    `time`, on one valuation of flat names (rr[u], or its own C1.kc[2]): the
-    expression's formula evaluated on that valuation.  A name the valuation
-    lacks is an unknown history variable."""
-    if isinstance(expr, str):
-        expr = le.parse_local_expr(expr)
+    """Value of a local expression in the agent's code at `time`, on one
+    valuation of flat names (rr[u], or its own C1.kc[2]): the expression's
+    formula evaluated on that valuation.  A name the valuation lacks is an
+    unknown history variable."""
     phi = le.to_formula(expr, agent, time, slot, tuple(valuation))
     return fm.eval_on_valuation(phi, valuation)
 
 
 def eval_local_expr(expr, history: History, slot=None) -> bool:
-    """Value of a local expression (text or AST) at the history's last time."""
+    """Value of a local expression at the history's last time."""
     return eval_local(expr, history.agent, history.time,
                       dict(zip(history.names, history.records[-1])), slot)

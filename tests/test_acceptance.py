@@ -21,8 +21,9 @@ from kbpcheck.cli import conservative_kc_predicate
 from kbpcheck.engine import generate_runs, rr_vector, verify_kbp_fixpoint
 from kbpcheck.model import Point
 from kbpcheck.reduction import engines_agree, random_formulas
-from kbpcheck.refine import (candidate_values, check_candidate, diff_candidates,
-                             refine_sequence, synthesize_predicate)
+from kbpcheck.localexpr import eval_expr
+from kbpcheck.refine import (check_candidate, diff_candidates, refine_sequence,
+                             synthesize_predicate)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,11 +92,11 @@ def test_c04_refinement_chain(sys_unknown):
     # published cf1 witness: slot_request [3,1,3], reservation results (1,0,0)
     w1 = run_of(sys_unknown, [3, 1, 3], [1, 1, 1])
     assert rr_vector(sys_unknown, w1)[:3] == [1, 0, 0]
-    cf1 = candidate_values(sys_unknown, chain[0], "C1", t, slot=1)
+    cf1 = eval_expr(chain[0].expr, sys_unknown, "C1", t, slot=1)
     assert not cf1[w1] and know_vec[w1]
     # published cf2 witness: one agent requests the slot, the evaluator none
     w2 = run_of(sys_unknown, [0, 0, 1], [0, 0, 0])
-    cf2 = candidate_values(sys_unknown, chain[1], "C1", t, slot=1)
+    cf2 = eval_expr(chain[1].expr, sys_unknown, "C1", t, slot=1)
     assert not cf2[w2] and know_vec[w2]
     report(4, "cf chain fails/fails/holds; both published witnesses validate")
 
@@ -108,8 +109,7 @@ def test_c05_rcvd_first_guess_fails_and_corrected_holds(sys_unknown):
     assert not g1.holds
     # published witness: all reserve slot 1, messages (1,1,0)
     w = run_of(sys_unknown, [1, 1, 1], [1, 1, 0])
-    g1_vec = candidate_values(sys_unknown, dc.builtin_predicate("rcvd1_g1"),
-                              "C1", t, slot=1)
+    g1_vec = eval_expr(dc.builtin_predicate("rcvd1_g1").expr, sys_unknown, "C1", t, slot=1)
     know_vec = ev.vector(know, t)
     assert not g1_vec[w] and know_vec[w]
     # corrected finals make specs 4a and 4b hold everywhere

@@ -156,6 +156,28 @@ def test_refine_locality_errors_exit_2(capsys, tmp_path, agent, target, expr, me
     assert err == f"error: {message.format(agent=agent)}\n"
 
 
+@pytest.mark.parametrize("expr,slot,message", [
+    ("rr[s]", None, "expression uses the slot parameter 's' but no slot was given"),
+    ("rr[s]", "9", "target dlvrd ranges over no slot, got slot 9"),
+    (dc.builtin_predicate("dlvrd_final").expr, "1", "target dlvrd ranges over no slot, got slot 1"),
+], ids=["slot-parameter", "slot-9", "final-slot-1"])
+def test_refine_dlvrd_takes_no_slot_exit_2(capsys, tmp_path, expr, slot, message):
+    path = tmp_path / "dlvrd.json"
+    path.write_text(json.dumps([{"name": "d", "target": "dlvrd", "expr": expr}]))
+    code, out, err = run_cli(capsys, "refine", "--file", str(path),
+                             *(() if slot is None else ("--slot", slot)))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_refine_dlvrd_final_holds_without_a_slot(capsys, tmp_path):
+    path = tmp_path / "dlvrd.json"
+    path.write_text(json.dumps([{"name": "d", "target": "dlvrd",
+                                 "expr": dc.builtin_predicate("dlvrd_final").expr}]))
+    code, out, _ = run_cli(capsys, "refine", "--file", str(path), "--agent", "C2")
+    assert code == 0 and out == "d: HOLDS\nchain passed\n"
+
+
 def test_refine_pair_is_labelled_with_the_agent_whose_k_is_false(capsys, tmp_path):
     from conftest import run_of
     from kbpcheck.cli import build_system

@@ -7,6 +7,8 @@ import brute
 from conftest import run_of
 from kbpcheck import dc
 from kbpcheck import formula as fm
+from kbpcheck import localexpr as le
+from kbpcheck.engine import local_vocabulary
 from kbpcheck.model import Point, UsageError
 from scalar import eval_local
 
@@ -58,9 +60,11 @@ def test_macros_via_parser(sys_unknown):
 def test_builtin_predicate_table():
     names = ("kc_guess", "cf1", "cf2", "cf3", "rcvd1_g1", "rcvd1_final",
              "rcvd0_g1", "rcvd0_final", "dlvrd_final")
+    model = dc.build_cdc(dc.DcParams())
+    vocabulary = local_vocabulary("C1", model.programs["C1"].locals_, model.horizon)
     for name in names:
         pred = dc.builtin_predicate(name)
-        assert pred.ast is not None
+        assert le.to_formula(pred.expr, "C1", model.horizon, 1, vocabulary) is not None
     with pytest.raises(UsageError):
         dc.builtin_predicate("nope")
 
@@ -70,17 +74,17 @@ def test_kc_guess_reading():
     pred = dc.builtin_predicate("kc_guess")
     hist = {"C1.slot_request": 2, "C1.msg": True}
     hist.update({f"rr[{u}]": False for u in range(1, 7)})
-    assert eval_local(pred.ast, "C1", 3, hist, slot=2) is False
+    assert eval_local(pred.expr, "C1", 3, hist, slot=2) is False
     hist2 = dict(hist, **{"rr[2]": True})
-    assert eval_local(pred.ast, "C1", 3, hist2, slot=2) is True
-    assert eval_local(pred.ast, "C1", 3, hist, slot=1) is True     # not my slot
+    assert eval_local(pred.expr, "C1", 3, hist2, slot=2) is True
+    assert eval_local(pred.expr, "C1", 3, hist, slot=1) is True     # not my slot
 
 
 def test_dlvrd_trivial_when_silent():
     pred = dc.builtin_predicate("dlvrd_final")
     hist = {"C1.slot_request": 0, "C1.msg": False}
     hist.update({f"rr[{u}]": False for u in range(1, 7)})
-    assert eval_local(pred.ast, "C1", 6, hist) is True
+    assert eval_local(pred.expr, "C1", 6, hist) is True
 
 
 def test_spec_shapes_and_times():
@@ -182,7 +186,7 @@ def test_predicates_file(tmp_path):
                                 for p in chain]))
     loaded = dc.load_predicates_file(str(path))
     assert [p.name for p in loaded] == ["cf1", "cf2", "cf3"]
-    assert loaded[0].ast == chain[0].ast
+    assert loaded[0].expr == chain[0].expr
     path.write_text(json.dumps([]))
     with pytest.raises(UsageError):
         dc.load_predicates_file(str(path))

@@ -390,7 +390,7 @@ def test_eval_local_expr_over_observation(sys_unknown):
     rr = [hist2.value(f"rr[{u}]") for u in (1, 2, 3)]
     assert rr == [True, False, False]
     cf3 = dc.builtin_predicate("cf3")
-    assert eval_local_expr(cf3.ast, hist2, slot=1) is True
+    assert eval_local_expr(cf3.expr, hist2, slot=1) is True
 
 
 def test_eval_local_expr_rejects_future_reads(sys_unknown):
@@ -402,7 +402,7 @@ def test_eval_local_expr_rejects_future_reads(sys_unknown):
 def test_observation_and_run_vector_views_agree(sys_unknown):
     # one history's scalar view and the run-vector view of the same time give
     # the same value, and refuse the same too-early reads
-    exprs = [(pred.ast, s) for pred in dc.final_predicates().values()
+    exprs = [(pred.expr, s) for pred in dc.final_predicates().values()
              for s in range(1, 4)]
     runs = random.Random(31).sample(range(sys_unknown.n_runs), 12)
     for t in range(sys_unknown.horizon + 1):

@@ -1,10 +1,16 @@
+import gzip
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbpcheck import cli, dc, refine
 from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
+from kbpcheck.engine import generate_runs
 from kbpcheck.model import InterpretedSystem, ModelError, UsageError, VariableDecl
 from scalar import eval_local
 
@@ -33,7 +39,7 @@ def ev(expr, v=None, slot=None):
 
 
 def vec(text, system, agent, time):
-    return le.eval_expr(le.parse_local_expr(text), system, agent, time)
+    return le.eval_expr(text, system, agent, time)
 
 
 def test_constants_and_bool_ops():
@@ -97,7 +103,7 @@ def test_unassigned_bookkeeping_reads_as_false(model3, sys_unknown):
 
 def test_unknown_name_is_model_error():
     with pytest.raises(ModelError):
-        ev(le.LRef("rr", ("const", 9)))
+        ev("rr[9]")
 
 
 def test_non_expression_is_a_type_error():
@@ -108,14 +114,14 @@ def test_non_expression_is_a_type_error():
 def test_parse_errors_carry_positions():
     for bad in ("rr[", "slot_request ==", "any t in 1..3 rr[t]", "msg &&", "@@"):
         with pytest.raises(UsageError):
-            le.parse_local_expr(bad)
+            le.to_formula(bad, "C1", 6)
 
 
 def test_to_formula_grounds_slot():
-    expr = le.parse_local_expr("rr[s] && slot_request != s && rr[s+3]")
-    ground = le.to_formula(expr, "C1", 6, 2)
-    assert fm.fmt(ground) == "rr[2] == 1 && C1.slot_request != 2 && rr[5] == 1"
     _, valuation = view(**{"rr[2]": True, "rr[5]": True, "slot_request": 1})
+    ground = le.to_formula("rr[s] && slot_request != s && rr[s+3]", "C1", 6, 2,
+                           tuple(valuation))
+    assert fm.fmt(ground) == "rr[2] == 1 && C1.slot_request != 2 && rr[5] == 1"
     assert fm.eval_on_valuation(ground, valuation) is True
 
 
@@ -137,12 +143,11 @@ def test_vector_scalar_agreement():
     system = InterpretedSystem(("C1",), 6, [
         VariableDecl(flat(name), tuple(range(4)) if name == "slot_request" else (False, True),
                      None if name.startswith("rr[") else "C1", frozenset({"C1"}))
-        for name in cols], n)
+        for name in cols], n, meta={"vocabulary": {"C1": tuple(map(flat, cols))}})
     for name, col in cols.items():
         system.set_const(flat(name), col)
     system.finalize()
-    for text in exprs:
-        expr = le.parse_local_expr(text)
+    for expr in exprs:
         for slot in (1, 2, 3):
             vector = le.eval_expr(expr, system, "C1", 6, slot)
             for i in range(0, n, 17):
@@ -160,7 +165,115 @@ def test_guess_chain_monotone_pointwise(sr, msg, rr, slot):
     values = {"slot_request": sr, "msg": msg}
     values.update({f"rr[{u}]": rr[u - 1] for u in range(1, 7)})
     v = history(values, 6)
-    cf = [ev(dc.builtin_predicate(name).ast, v, slot=slot)
+    cf = [ev(dc.builtin_predicate(name).expr, v, slot=slot)
           for name in ("cf1", "cf2", "cf3")]
     assert (not cf[0]) or cf[1]
     assert (not cf[1]) or cf[2]
+
+
+# ---------------------------------------------------------------------------
+# The scope: what a name means in an agent's code
+
+
+def compiled(text, time=6, slot=None):
+    _, valuation = view(time)
+    return le.to_formula(text, "C1", time, slot, tuple(valuation))
+
+
+def rr(u):
+    return fm.Atom(None, f"rr[{u}]", "==", 1)
+
+
+def own(name, op="==", value=1):
+    return fm.Atom("C1", name, op, value)
+
+
+@pytest.fixture(scope="module")
+def naive_pinned():
+    return generate_runs(dc.build_cdc(dc.DcParams(slots=2)),
+                         dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive")
+
+
+@pytest.mark.parametrize("name", ["contrib", "oxr", "k12", "said[1]"])
+def test_engine_observations_are_unknown_history_variables(sys_unknown, naive_pinned, name):
+    # the agent observes them, but its code reads only its locals and rr
+    for system in (sys_unknown, naive_pinned):
+        for agent in system.agents:
+            message = f"unknown history variable {name!r} (agent {agent})"
+            with pytest.raises(ModelError, match=re.escape(message)):
+                refine.candidate_formula(system, name, agent, system.horizon, 1)
+
+
+@pytest.mark.parametrize("text", ["K[C1](msg)", "Khat[C1](msg)", "X msg", "!X msg",
+                                  "conflict(1)", "C1.msg", "slot_request",
+                                  "msg && slot_request", "slot_request && msg"])
+def test_non_local_forms_are_refused(text):
+    with pytest.raises(UsageError, match="^local expression: "):
+        compiled(text, slot=1)
+    with pytest.raises(UsageError, match="^local expression: "):
+        le.to_formula(text, None, 0)        # the syntax check alone
+
+
+@pytest.mark.parametrize("text", ["msg == 2", "rr[1] in {3}", "kc[1] != 5", "msg in {0, 5}",
+                                  "any t in 1..0: msg == 2"])
+def test_bit_values_outside_0_1_are_refused(text):
+    with pytest.raises(UsageError, match="^local expression: value .* outside the domain"):
+        compiled(text, slot=1)
+    with pytest.raises(UsageError, match="^local expression: value .* outside the domain"):
+        le.to_formula(text, None, 0)        # the syntax check alone
+
+
+def test_a_bit_compared_with_the_slot_is_refused_once_the_slot_is_known():
+    assert compiled("kc[1] in {s}", slot=1) == own("kc[1]")
+    with pytest.raises(UsageError, match="^local expression: value 3 outside the domain"):
+        compiled("kc[1] in {s}", slot=3)
+    assert compiled("slot_request in {s}", slot=3) == own("slot_request", "==", 3)
+
+
+def test_empty_binder_is_false_and_only_its_syntax_is_checked():
+    assert compiled("any t in 1..1 except 1: rr[9]") == fm.FALSE
+    assert compiled("any t in 1..0: rr[s] && contrib && rr[t+5] && rr[w]", time=3) == fm.FALSE
+    with pytest.raises(UsageError, match="^local expression: "):
+        compiled("any t in 1..0: rr[")
+
+
+def test_nested_binders_shadow_and_the_outer_binding_returns():
+    inner = fm.Or(rr(3), rr(4))
+    assert compiled("any t in 1..2: (any t in 3..4: rr[t]) && rr[t]") == \
+        fm.Or(fm.And(inner, rr(1)), fm.And(inner, rr(2)))
+
+
+def test_comparisons_bind_tighter_than_and():
+    assert compiled("rr[s+3] != msg && slot_request == s", slot=2) == \
+        fm.And(fm.Not(fm.Iff(rr(5), own("msg"))), own("slot_request", "==", 2))
+    # true/false after == are constants, not atom values
+    assert compiled("msg == true") == fm.Iff(own("msg"), fm.TRUE)
+    assert compiled("slot_request in 1..3 except s", slot=2) == \
+        fm.Or(own("slot_request", "==", 1), own("slot_request", "==", 3))
+
+
+# the reprs of the compiled statements below, one a line, written at the commit
+# before local expressions were parsed by the formula parser (its sha256 is
+# 5633bfe2941396b633f7e204550120e2c31b5117b3eb0c8333b1c1162f70a409)
+PINNED_PROGRAMS = Path(__file__).parent / "golden" / "compiled_programs.txt.gz"
+BUILTINS = ("kc_guess", "cf1", "cf2", "cf3", "rcvd1_g1", "rcvd1_final",
+            "rcvd0_g1", "rcvd0_final", "dlvrd_final")
+
+
+def test_compiled_programs_are_pinned():
+    items = []
+    for slots in range(2, 9):
+        for mode in dc.MODES:
+            model = dc.build_cdc(dc.DcParams(slots, mode))
+            items += [repr(model.programs[a]) for a in dc.AGENTS]
+    for scen in (dc.unknown_scenario(), dc.referendum_scenario()):
+        kc = cli.conservative_kc_predicate(scen)
+        model = dc.build_cdc(dc.DcParams(mode="conservative"), dict(dc.final_predicates(), kc=kc))
+        items += [repr(model.programs[a]) for a in dc.AGENTS]
+        system = cli.kbp_system(scen, "speculative")
+        items += [repr(refine.candidate_formula(system, dc.builtin_predicate(name), a, 6, s))
+                  for name in BUILTINS for a in dc.AGENTS for s in (1, 2, 3)]
+    pinned = gzip.decompress(PINNED_PROGRAMS.read_bytes()).decode().splitlines()
+    assert len(items) == len(pinned) == 210
+    for i, (item, expected) in enumerate(zip(items, pinned)):
+        assert item == expected, f"compiled statement {i} differs"

@@ -9,7 +9,7 @@ from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
 from kbpcheck.engine import generate_runs
 from kbpcheck.model import Point, UsageError
-from kbpcheck.refine import (candidate_values, check_candidate,
+from kbpcheck.refine import (check_candidate,
                              counterexample_from_verdict, diff_candidates,
                              refine_sequence, render_counterexample,
                              render_run_table, synthesize_predicate)
@@ -26,7 +26,7 @@ def test_check_candidate_cf1_fails_missing_knowledge(sys_unknown):
     run = run_of(sys_unknown, [3, 1, 3], [1, 1, 1])
     from kbpcheck.engine import rr_vector
     assert rr_vector(sys_unknown, run)[:3] == [1, 0, 0]
-    cand = candidate_values(sys_unknown, dc.builtin_predicate("cf1"), "C1", t, slot=1)
+    cand = le.eval_expr(dc.builtin_predicate("cf1").expr, sys_unknown, "C1", t, slot=1)
     know_vec = fm.Evaluator(sys_unknown).vector(know, t)
     assert not cand[run] and know_vec[run]
 
@@ -39,7 +39,7 @@ def test_check_candidate_cf2_fails_on_silent_observer(sys_unknown):
     # the published witness: one agent requests the slot, the evaluating agent
     # requests nothing
     run = run_of(sys_unknown, [0, 0, 1], [0, 0, 0])
-    cand = candidate_values(sys_unknown, dc.builtin_predicate("cf2"), "C1", t, slot=1)
+    cand = le.eval_expr(dc.builtin_predicate("cf2").expr, sys_unknown, "C1", t, slot=1)
     know_vec = fm.Evaluator(sys_unknown).vector(know, t)
     assert not cand[run] and know_vec[run]
 
@@ -193,7 +193,7 @@ def test_synthesize_own_atom_gives_that_atom(sys_unknown):
     pred = synthesize_predicate(sys_unknown, fm.Know("C1", fm.Atom("C1", "msg", "==", 1)),
                                 "C1", 6)
     assert pred.sop_text == "msg"
-    vec = candidate_values(sys_unknown, pred, "C1", 6)
+    vec = le.eval_expr(pred.expr_for(), sys_unknown, "C1", 6)
     assert np.array_equal(vec, sys_unknown.column("C1.msg", 0).astype(bool))
 
 
