@@ -67,21 +67,20 @@ class DcParams:
 # Macros
 
 
-def conflict_macro(s: int, slots: int = 3, agents: Sequence[str] = AGENTS) -> fm.Formula:
+def conflict_macro(s: int, slots: int = 3) -> fm.Formula:
     """Two distinct agents both requesting slot s."""
     if not 1 <= int(s) <= slots:
         raise UsageError(f"conflict: slot {s} outside 1..{slots}")
     pairs = []
-    for i, j in combinations(agents, 2):
+    for i, j in combinations(AGENTS, 2):
         pairs.append(fm.And(fm.Atom(i, "slot_request", "==", int(s)),
                             fm.Atom(j, "slot_request", "==", int(s))))
     return fm.disj(pairs)
 
 
-def sender_macro(agent: str, x: int, s: int, slots: int = 3,
-                 agents: Sequence[str] = AGENTS) -> fm.Formula:
+def sender_macro(agent: str, x: int, s: int, slots: int = 3) -> fm.Formula:
     """Some agent other than `agent` is sending message bit x in slot s."""
-    if agent not in agents:
+    if agent not in AGENTS:
         raise UsageError(f"sender: unknown agent {agent!r}")
     if int(x) not in (0, 1):
         raise UsageError(f"sender: message bit must be 0 or 1, got {x!r}")
@@ -89,14 +88,14 @@ def sender_macro(agent: str, x: int, s: int, slots: int = 3,
         raise UsageError(f"sender: slot {s} outside 1..{slots}")
     return fm.disj(fm.And(fm.Atom(j, "msg", "==", int(x)),
                           fm.Atom(j, "slot_request", "==", int(s)))
-                   for j in agents if j != agent)
+                   for j in AGENTS if j != agent)
 
 
-def dc_macros(slots: int = 3, agents: Sequence[str] = AGENTS) -> dict:
+def dc_macros(slots: int = 3) -> dict:
     return {
-        "conflict": lambda args: conflict_macro(_one_int(args, "conflict"), slots, agents),
+        "conflict": lambda args: conflict_macro(_one_int(args, "conflict"), slots),
         "sender": lambda args: sender_macro(str(args[0]), _int(args[1], "sender"),
-                                            _int(args[2], "sender"), slots, agents)
+                                            _int(args[2], "sender"), slots)
         if len(args) == 3 else _bad_arity("sender", args),
     }
 

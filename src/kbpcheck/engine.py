@@ -9,7 +9,8 @@ xor of the agents' contribution bits.
 
 One lock-step loop builds every run set over all runs at once: announce, take
 rr as the xor of the public announcements, latch it, run the post-step
-assignments.  Two observation models plug into it:
+assignments.  It stores what the evaluator returns, one value per history
+class (model), not one per run.  Two observation models plug into it:
 
   * naive   — one run per (initial assignment x key schedule), exhaustively;
               agent i publicly says contribution xor both of its keys.  The
@@ -33,12 +34,12 @@ assignment at time step.  The implementation's statements are its local
 expressions compiled to formulas; the knowledge-based program's are the
 knowledge formulas themselves, so the loop does not tell the two apart.
 Each local is assigned once (the build checks it), so nothing at a time
-before the current step is written again.  Within a step the loop writes the
-latched columns in place, statement by statement and agent by agent, and a
-statement reads false from a local that it or a later statement of the step
-assigns, by any agent, and the new value from one an earlier statement wrote.
-Those reads are compiled to false (_step_statements), so no memoized value
-is computed from a column written afterwards: one Evaluator serves the build.
+before the current step is written again.  Within a step the loop stores the
+latched traces, statement by statement and agent by agent, and a statement
+reads false from a local that it or a later statement of the step assigns,
+by any agent, and the new value from one an earlier statement stored.  Those
+reads are compiled to false (_step_statements), so no memoized value is
+computed from a trace stored afterwards: one Evaluator serves the build.
 """
 
 from __future__ import annotations
@@ -238,31 +239,25 @@ def _declare(model: ProtocolModel, engine_mode: str, coarse: bool):
     return decls
 
 
-def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: np.ndarray,
-                 repeat: int) -> dict:
-    """Set the initial and latched traces, each assignment row of `vs` repeated
-    `repeat` times; returns the latched arrays, which the loop fills in place."""
-    latched = {}
+def _init_locals(model: ProtocolModel, system: InterpretedSystem, vs: np.ndarray):
+    """Set the initial traces from the assignment rows of `vs`, and each
+    latched trace to zero until the loop stores it at its step; returns that
+    level-0 zero vector."""
+    zero = np.zeros(system.n_classes(0), dtype=np.uint8)
     for i, a in enumerate(model.agents):
         program = model.programs[a]
         for name in program.locals_:
             flat = f"{a}.{name}"
-            if name in ("slot_request", "msg"):
-                k = 0 if name == "slot_request" else 1
-                system.set_const(flat, vs[:, k, i].repeat(repeat))
-                continue
             step = program.assignment_step(name)
-            arr = np.zeros(system.n_runs, dtype=np.uint8)
-            if step is None:
-                system.set_const(flat, arr)
+            if name in ("slot_request", "msg"):
+                system.set_const(flat, vs[:, 0 if name == "slot_request" else 1, i])
+            elif step is None:
+                system.set_const(flat, zero)
             else:
-                latched[flat] = arr
-                system.set_latched(flat, arr, step)
+                system.set_latched(flat, zero, step)
     for t in range(1, model.horizon + 1):
-        arr = np.zeros(system.n_runs, dtype=np.uint8)
-        latched[f"rr[{t}]"] = arr
-        system.set_latched(f"rr[{t}]", arr, t)
-    return latched
+        system.set_latched(f"rr[{t}]", zero, t)
+    return zero
 
 
 def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
@@ -276,7 +271,8 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
     vs = admissible_assignments(model, scenario)
     T = model.horizon
     edges = [name for name, _ in model.key_edges]
-    n_keys = 2 ** (len(edges) * T) if naive else 1
+    branching = 2 ** len(edges) if naive else 1
+    n_keys = branching ** T
     n = len(vs) * n_keys
     if naive and n > max_naive_runs:
         raise UsageError(
@@ -288,30 +284,32 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
     if naive:
         meta["n_key_schedules"] = n_keys
     system = InterpretedSystem(model.agents, T, _declare(model, engine_mode, coarse), n,
-                               meta=meta, branching=2 ** len(edges) if naive else 1)
-    latched = _init_locals(model, system, vs, n_keys)
+                               meta=meta, branching=branching)
+    zero = _init_locals(model, system, vs)
 
     def step_var(name):
-        arr = np.zeros((T + 1, n), dtype=np.uint8)
-        system.set_step(name, arr)
-        return arr
+        values = [zero] * (T + 1)       # the loop stores time t at step t
+        system.set_step(name, values)
+        return values
 
     if naive:
-        # key schedule kappa = run % n_keys; bit (step, edge) of kappa, step-1/edge-0
-        # least significant; runs are ordered by assignment first, then schedule,
-        # which is the history-class layout of branching 2^len(edges) (model)
-        kappa = np.tile(np.arange(n_keys, dtype=np.int64), len(vs))
+        # history classes of branching 2^len(edges) (model): within its
+        # assignment, a class of level t is numbered by its key draws, the
+        # step-t draw most significant; bit j of a draw is edge j's key
         keys = {name: step_var(name) for name in edges}
         for t in range(1, T + 1):
+            draw = np.arange(branching ** t) >> len(edges) * (t - 1)
             for j, name in enumerate(edges):
-                keys[name][t] = (kappa >> (len(edges) * (t - 1) + j)) & 1
+                keys[name][t] = np.tile(((draw >> j) & 1).astype(np.uint8), len(vs))
+        contrib = {a: [zero] * (T + 1) for a in model.agents}
         said = {a: step_var(f"said[{model.agent_index(a)}]") for a in model.agents}
-        contrib = {a: np.zeros((T + 1, n), dtype=np.uint8) for a in model.agents}
 
         def publish(step):
+            size = system.n_classes(step)
             for a in model.agents:
                 left, right = model.agent_keys(a)
-                said[a][step] = contrib[a][step] ^ keys[left][step] ^ keys[right][step]
+                said[a][step] = (system.widen(contrib[a][step], size)
+                                 ^ keys[left][step] ^ keys[right][step])
             return np.bitwise_xor.reduce([said[a][step] for a in model.agents])
     else:
         contrib = {a: step_var(f"{a}.contrib") for a in model.agents}
@@ -329,15 +327,16 @@ def _build(model: ProtocolModel, scenario: Scenario, engine_mode: str,
 
     evaluator = fm.Evaluator(system)
     for step in range(1, T + 1):
-        # announcements read the time step-1 view only, so writing one agent's
+        # announcements read the time step-1 view only, so storing one agent's
         # contribution at `step` cannot affect another's
         for a in model.agents:
-            contrib[a][step] = evaluator.vector(model.programs[a].phases[step - 1].announce,
-                                                step - 1)
+            contrib[a][step] = evaluator.classes(
+                model.programs[a].phases[step - 1].announce, step - 1).view(np.uint8)
         evaluator.memo.clear()      # what it holds is at time step-1, which nothing reads again
-        latched[f"rr[{step}]"][:] = publish(step)
+        system.set_latched(f"rr[{step}]", publish(step), step)
         for a, stmt in _step_statements(model, step):
-            latched[f"{a}.{stmt.var}"][:] = evaluator.vector(stmt.formula, step)
+            system.set_latched(f"{a}.{stmt.var}",
+                               evaluator.classes(stmt.formula, step).view(np.uint8), step)
     system.meta["contrib"] = contrib
     return system.finalize()
 
@@ -356,7 +355,7 @@ def contribution_matrix(system: InterpretedSystem, run: int) -> list:
     contrib = system.meta.get("contrib")
     if contrib is None:
         raise UsageError("system carries no contribution record")
-    return [[int(contrib[a][t][run]) for t in range(1, system.horizon + 1)]
+    return [[int(system.widen(contrib[a][t])[run]) for t in range(1, system.horizon + 1)]
             for a in system.agents]
 
 
@@ -369,18 +368,21 @@ def verify_kbp_fixpoint(system: InterpretedSystem, model: ProtocolModel) -> bool
     """Re-evaluate every statement of the program that tests knowledge inside
     the built system, as the build compiled it (_step_statements), and check
     that it gives back what the system was built with: an announcement at
-    step-1 its contributions, an assignment at step its latched column."""
+    step-1 its contributions, an assignment at step its latched trace.  Both
+    are class vectors, compared at the finer of their two levels."""
     evaluator = fm.Evaluator(system)
     contrib = system.meta["contrib"]
     for step in range(1, model.horizon + 1):
         checks = [(model.programs[a].phases[step - 1].announce, step - 1, contrib[a][step])
                   for a in model.agents]
-        checks += [(stmt.formula, step, system.column(f"{a}.{stmt.var}", step))
+        checks += [(stmt.formula, step, system.class_column(f"{a}.{stmt.var}", step))
                    for a, stmt in _step_statements(model, step)]
         for phi, time, built in checks:
-            if _tests_knowledge(phi) and not np.array_equal(
-                    evaluator.vector(phi, time), built.astype(bool)):
-                return False
+            if _tests_knowledge(phi):
+                found = evaluator.classes(phi, time)
+                size = max(len(found), len(built))
+                if not np.array_equal(system.widen(found, size), system.widen(built, size) == 1):
+                    return False
     return True
 
 

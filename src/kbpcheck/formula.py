@@ -35,7 +35,7 @@ memoized per (node, time) within one Evaluator.  It runs on class vectors,
 one value per history class (model's docstring): runs that share their
 global history up to t agree at t on every formula of X-depth 0, and a
 formula of X-depth d at t is read at level at most t + d.  An atom reads its
-column at the level of its trace kind, a binary node widens its shorter
+trace's stored class vector, a binary node widens its shorter
 operand, and K at t reads the time-t class labels, after narrowing a deeper
 body to level t with `any` over the continuations of its falsified classes.
 `vector` widens the result to one value per run.  The memo

@@ -37,9 +37,9 @@ def eval_expr(text: str, system: InterpretedSystem, agent: str, time: int,
               slot: Optional[int] = None) -> np.ndarray:
     """The expression's truth vector over all runs of `system`, read at `time`.
 
-    Each call evaluates with a fresh Evaluator: the engine writes latched
-    columns in place while it builds, and a memo kept across statements would
-    hand back a column's value from before its write.
+    Each call evaluates with a fresh Evaluator: the engine stores latched
+    traces step by step while it builds, and a memo kept across statements
+    would hand back a trace's value from before it was stored.
     """
     phi = to_formula(text, agent, time, slot, system.meta["vocabulary"][agent])
     return fm.Evaluator(system).vector(phi, time)

@@ -8,12 +8,13 @@ agent iff those sequences are equal, which yields, per agent and per time, a
 partition of the time-t points.  Because every step appends one record, equal
 local states force equal times, so synchrony is built in.
 
-Runs are stored column-wise (one numpy vector per variable per time class) so
-that formula evaluation and partition construction stay vectorized even for
-the exhaustive key-enumeration engine.  Every read serves that vector form:
-a column holds one value per run, and partitions are dense block labels per
-run.  A question about one point indexes those vectors; the per-point
-histories the tests compare the labels against live in the test suite.
+Runs are stored column-wise (one numpy vector per variable and time, one
+value per history class, below) so that formula evaluation and partition
+construction stay vectorized even for the exhaustive key-enumeration engine.
+Every read serves that vector form: a column holds one value per run, and
+partitions are dense block labels per run.  A question about one point
+indexes those vectors; the per-point histories the tests compare the labels
+against live in the test suite.
 
 History classes.  A system of branching b holds groups * b^T runs, ordered
 run = a * b^T + kappa: each step draws one of b values, and the step-1 draw
@@ -21,9 +22,10 @@ is the least significant digit of kappa.  The runs that share their global
 history up to time t form a history class, (a, kappa mod b^t): there are
 groups * b^t classes at t, numbered in the order of their least runs.  A
 class vector at level t holds one value per class at t, so its length says
-its level.  finalize checks that every trace is constant within the classes
-of the level its kind fixes: 0 for a const trace, t for a step trace at t,
-the latch time for a latched one.  Partitions are grouped once per (agent,
+its level.  Traces are stored as class vectors only, so they are constant
+within classes by construction; finalize checks that no stored level is
+finer than the trace kind allows: 0 for a const trace, t for a step trace at
+t, the latch time for a latched one.  Partitions are grouped once per (agent,
 time), over class vectors: each class's record is packed into an integer
 key, whose key space is relabelled densely whenever it outgrows the class
 count, and the labels come from a first-occurrence table over that space.
@@ -77,11 +79,16 @@ class Point:
 
 
 class _Trace:
-    """Per-variable storage.  kind distinguishes the three time behaviours:
+    """Per-variable storage as class vectors.  kind distinguishes the three
+    time behaviours:
 
-    const   — value fixed for the whole run (initial variables),
-    step    — a fresh value at every step (announcements, key bits),
-    latched — false until assigned at a fixed step, constant afterwards.
+    const   — value fixed for the whole run (initial variables): one vector
+              at level 0,
+    step    — a fresh value at every step (announcements, key bits): one
+              vector per time t, at a level <= t,
+    latched — false until assigned at a fixed step, constant afterwards: one
+              vector at a level <= that step, and before it the system's
+              shared read-only zero vector.
 
     const and step traces are the primitive observations; latched traces are
     deterministic functions of them and are excluded from partition
@@ -90,12 +97,11 @@ class _Trace:
 
     __slots__ = ("kind", "values", "latch_time", "before")
 
-    def __init__(self, kind: str, values: np.ndarray, latch_time: int = 0):
+    def __init__(self, kind: str, values, latch_time: int = 0, before=None):
         self.kind = kind
         self.values = values
         self.latch_time = latch_time
-        # what a latched trace reads before its step: one read-only zero vector
-        self.before = np.broadcast_to(np.uint8(0), values.shape) if kind == "latched" else None
+        self.before = before
 
     def at(self, t: int) -> np.ndarray:
         if self.kind == "const":
@@ -103,12 +109,6 @@ class _Trace:
         if self.kind == "step":
             return self.values[t]
         return self.values if t >= self.latch_time else self.before
-
-    def level(self, t: int) -> int:
-        """The time whose global history fixes the value read at t."""
-        if self.kind == "step":
-            return t
-        return self.latch_time if self.kind == "latched" and t >= self.latch_time else 0
 
 
 class InterpretedSystem:
@@ -133,8 +133,7 @@ class InterpretedSystem:
         self.horizon = horizon
         self.n_runs = n_runs
         self.branching = branching
-        self._schedules = branching ** horizon     # runs per level-0 class
-        self._groups = n_runs // self._schedules
+        self._groups = n_runs // branching ** horizon     # the level-0 classes
         self.variables = {}
         for decl in variables:
             if decl.name in self.variables:
@@ -152,28 +151,23 @@ class InterpretedSystem:
         self._obs_names = {a: tuple(n for n, d in self.variables.items() if a in d.observable_by)
                            for a in self.agents}
         self._obs_basis: dict = {}          # agent -> primitive observations, on first use
+        self._zero = np.zeros(self._groups, dtype=np.uint8)     # read before a latch time
+        self._zero.setflags(write=False)
 
     # construction -------------------------------------------------------
 
     def set_const(self, name: str, values: np.ndarray):
-        self._set(name, _Trace("const", self._coerce(name, values)))
+        self._set(name, _Trace("const", np.asarray(values, dtype=np.uint8)))
 
-    def set_step(self, name: str, values: np.ndarray):
-        values = np.asarray(values, dtype=np.uint8)  # no copy when already uint8
-        if values.shape != (self.horizon + 1, self.n_runs):
-            raise ModelError(f"step trace {name!r} must be (T+1, n_runs)")
+    def set_step(self, name: str, values: Sequence[np.ndarray]):
+        """values: the class vectors of times 0..T, which the build may fill."""
         self._set(name, _Trace("step", values))
 
     def set_latched(self, name: str, values: np.ndarray, latch_time: int):
         if not 0 <= latch_time <= self.horizon:
             raise ModelError(f"latch time {latch_time} outside 0..{self.horizon}")
-        self._set(name, _Trace("latched", self._coerce(name, values), latch_time))
-
-    def _coerce(self, name, values):
         values = np.asarray(values, dtype=np.uint8)  # no copy when already uint8
-        if values.shape != (self.n_runs,):
-            raise ModelError(f"trace {name!r} must have one value per run")
-        return values
+        self._set(name, _Trace("latched", values, latch_time, self._zero))
 
     def _set(self, name, trace):
         if name not in self.variables:
@@ -184,9 +178,18 @@ class InterpretedSystem:
         missing = set(self.variables) - set(self._traces)
         if missing:
             raise ModelError(f"variables without traces: {sorted(missing)}")
+        shapes = [(self.n_classes(t),) for t in range(self.horizon + 1)]
         for name, trace in self._traces.items():
+            step = trace.kind == "step"
+            if step and len(trace.values) != self.horizon + 1:
+                raise ModelError(f"step trace {name!r} must hold T+1 class vectors")
+            stored = enumerate(trace.values) if step else [(trace.latch_time, trace.values)]
+            for t, vector in stored:
+                if vector.shape not in shapes[:t + 1]:
+                    raise ModelError(f"trace {name!r} at time {t} is not a class vector "
+                                     f"of a level up to {t}")
+            values = np.concatenate(trace.values) if step else trace.values
             allowed = {int(v) for v in self.variables[name].domain}
-            values = trace.values
             # a span of allowed values needs no sort; np.unique names the culprits
             if not values.size or allowed.issuperset(
                     range(int(values.min()), int(values.max()) + 1)):
@@ -194,20 +197,18 @@ class InterpretedSystem:
             present = set(np.unique(values).tolist())
             if not present <= allowed:
                 raise ModelError(f"values of {name!r} outside its domain: {sorted(present - allowed)}")
-        if self.branching > 1:
-            for name, trace in self._traces.items():
-                times = range(self.horizon + 1) if trace.kind == "step" else (self.horizon,)
-                for t in times:
-                    width = self.branching ** trace.level(t)
-                    blocks = trace.at(t).reshape(self._groups, self._schedules // width, width)
-                    if not (blocks[:, 1:] == blocks[:, :1]).all():
-                        raise ModelError(f"trace {name!r} differs within a history class "
-                                         f"at time {t}")
         return self
 
     # reads ---------------------------------------------------------------
 
     def column(self, name: str, time: int) -> np.ndarray:
+        """The column at `time`, one value per run: its class vector widened
+        (on the reduced engine, the stored array itself)."""
+        return self.widen(self.class_column(name, time))
+
+    def class_column(self, name: str, time: int) -> np.ndarray:
+        """The stored class vector of `name` at `time`; its length says its
+        level, which is at most what the trace kind allows."""
         if name in self.excluded_atoms:
             raise UsageError(self.excluded_atoms[name])
         trace = self._traces.get(name)
@@ -216,15 +217,6 @@ class InterpretedSystem:
         if not 0 <= time <= self.horizon:
             raise UsageError(f"time {time} outside 0..{self.horizon}")
         return trace.at(time)
-
-    def class_column(self, name: str, time: int) -> np.ndarray:
-        """The column at `time` as a class vector, at the level its trace
-        kind fixes (the least run of each class stands for the class)."""
-        col = self.column(name, time)
-        if self._schedules == 1:
-            return col
-        width = self.branching ** self._traces[name].level(time)
-        return col.reshape(self._groups, self._schedules // width, width)[:, 0].reshape(-1)
 
     def n_classes(self, time: int) -> int:
         return self._groups * self.branching ** time
@@ -277,9 +269,10 @@ class InterpretedSystem:
             # the previous labels already split the runs by the const records
             names = [n for n in names if self._traces[n].kind == "step"]
             prev, n_prev = self.class_labels(agent, time - 1)
-            cols = [self.class_column(n, time) for n in names]
+            size = self.n_classes(time)
+            cols = [self.widen(self.class_column(n, time), size) for n in names]
             bits = [self.variables[n].bits() for n in names]
-            labels, n = self._group(cols, bits, (self.widen(prev, self.n_classes(time)), n_prev))
+            labels, n = self._group(cols, bits, (self.widen(prev, size), n_prev))
         self._labels_cache[key] = (labels, n)
         return labels, n
 

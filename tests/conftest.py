@@ -71,3 +71,12 @@ def assignment_pairs(vs):
 def run_of(system, sr, msg):
     """Index of the run with the given initial assignment."""
     return assignment_pairs(system.meta["assignments"]).index((tuple(sr), tuple(msg)))
+
+
+def at_run(system, values, run):
+    """The value a stored class vector gives one run: that of the run's class
+    at the vector's level (model's history classes), read without widening
+    the vector to every run."""
+    groups = len(system.meta["assignments"])
+    per = len(values) // groups
+    return values[run // (system.n_runs // groups) * per + run % per]

@@ -233,7 +233,7 @@ def test_c10_property_suites(sys_unknown, naive2):
         rr = naive2.column(f"rr[{t}]", naive2.horizon).astype(bool)
         xor = np.zeros(naive2.n_runs, dtype=bool)
         for agent in naive2.agents:
-            xor ^= naive2.meta["contrib"][agent][t].astype(bool)
+            xor ^= naive2.widen(naive2.meta["contrib"][agent][t]).astype(bool)
         assert np.array_equal(rr, xor)
     report(10, "S5 truth + introspection on 1,000 samples, partition refinement, "
                "and key cancellation on all 884,736 naive runs: zero violations")

@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import brute
-from conftest import assignment_pairs, run_of
+from conftest import assignment_pairs, at_run, run_of
 from kbpcheck import dc
 from kbpcheck import formula as fm
 from kbpcheck import localexpr as le
@@ -170,8 +171,16 @@ def test_fixpoint_rechecks_a_read_before_the_write_of_its_step():
     assert not system.column("C1.rcvd0[1]", end).any()
     assert int(system.column("C1.rcvd1[1]", end).sum()) == 36
     assert verify_kbp_fixpoint(system, model)
-    system.column("C1.rcvd0[1]", end)[0] ^= 1
+    _flip_class_0(system, "C1.rcvd0[1]", model.programs["C1"].assignment_step("rcvd0[1]"))
     assert not verify_kbp_fixpoint(system, model)
+
+
+def _flip_class_0(system, name, step):
+    """Flip class 0 of the latched trace `name`: stored vectors are the
+    evaluator's read-only outputs, so a copy is flipped and stored back."""
+    flipped = system.class_column(name, step).copy()
+    flipped[0] ^= 1
+    system.set_latched(name, flipped, step)
 
 
 def test_a_step_reads_a_later_agent_assignment_as_false_and_an_earlier_one_as_written():
@@ -243,6 +252,23 @@ def test_execute_step_keys_mask_announcements(model3):
         assert run_a[t][f"rr[{t}]"] == run_b[t][f"rr[{t}]"]
 
 
+def test_naive_traces_are_stored_per_history_class(model2, scen2, reduced2):
+    # 884,736 runs, but stored once per class: the key bits, said and what
+    # reads them at level t, everything else at a coarser level
+    tracemalloc.start()
+    try:
+        system = generate_runs(model2, scen2, "naive")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.n_runs == 884_736
+    assert held < 20 * 2 ** 20
+    # the reduced engine's classes are its runs: a column is the stored array
+    for name in ("C1.slot_request", "C1.contrib", "rr[1]", "C1.kc[1]"):
+        for t in range(reduced2.horizon + 1):
+            assert np.shares_memory(reduced2.column(name, t), reduced2.class_column(name, t))
+
+
 def test_behavior_key_freeness_sampled(model2, naive2):
     # contribution matrix is a function of the initial assignment alone
     rng = random.Random(17)
@@ -252,8 +278,8 @@ def test_behavior_key_freeness_sampled(model2, naive2):
         v_idx = rng.randrange(216)
         k1, k2 = rng.randrange(n_keys), rng.randrange(n_keys)
         for agent in naive2.agents:
-            a = contrib[agent][:, v_idx * n_keys + k1]
-            b = contrib[agent][:, v_idx * n_keys + k2]
+            a = [at_run(naive2, vec, v_idx * n_keys + k1) for vec in contrib[agent]]
+            b = [at_run(naive2, vec, v_idx * n_keys + k2) for vec in contrib[agent]]
             assert np.array_equal(a, b)
 
 
@@ -269,20 +295,24 @@ def test_naive_matches_scalar_reference(model2, naive2):
                      for t in range(1, model2.horizon + 1))
         sr, msg = initial_vectors(naive2, run)
         states = run_single(model2, sr, msg, bits)
+
+        def stored(name, t):
+            return at_run(naive2, naive2.class_column(name, t), run)
+
         latched = [f"{base}[{s}]" for base in ("kc", "rcvd0", "rcvd1")
                    for s in range(1, model2.slots + 1)] + ["dlvrd"]
         for t in range(1, model2.horizon + 1):
             state = states[t]
             for i, agent in enumerate(naive2.agents):
                 said = state[f"said[{i + 1}]"]
-                assert bool(naive2.column(f"said[{i + 1}]", t)[run]) == said
+                assert bool(stored(f"said[{i + 1}]", t)) == said
                 left, right = model2.agent_keys(agent)
-                assert bool(naive2.meta["contrib"][agent][t][run]) == \
+                assert bool(at_run(naive2, naive2.meta["contrib"][agent][t], run)) == \
                     said ^ state[left] ^ state[right]
                 for name in latched:
                     flat = f"{agent}.{name}"
-                    assert bool(naive2.column(flat, t)[run]) == state[flat]
-            assert bool(naive2.column(f"rr[{t}]", t)[run]) == state[f"rr[{t}]"]
+                    assert bool(stored(flat, t)) == state[flat]
+            assert bool(stored(f"rr[{t}]", t)) == state[f"rr[{t}]"]
 
 
 def test_kbp_equals_candidate_behavior(kbp_systems, sys_unknown):
@@ -305,7 +335,7 @@ def test_kbp_fixpoint_catches_a_flipped_bit_on_the_naive_engine(mode):
     scenario = dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2)
     system = generate_runs(model, scenario, "naive")
     assert verify_kbp_fixpoint(system, model)
-    system.column("C1.rcvd1[1]", system.horizon)[0] ^= 1
+    _flip_class_0(system, "C1.rcvd1[1]", model.programs["C1"].assignment_step("rcvd1[1]"))
     assert not verify_kbp_fixpoint(system, model)
 
 
@@ -317,10 +347,12 @@ def test_kbp_fixpoint_catches_flipped_knowledge_choices(mode):
     announce = model.programs["C1"].phases[guarded - 1].announce
     assert any(isinstance(sub, fm.Know) for sub in fm.subformulas(announce))
     system = execute_kbp(model, scenario)
-    system.meta["contrib"]["C1"][guarded][0] ^= 1
+    contrib = system.meta["contrib"]["C1"]
+    contrib[guarded] = contrib[guarded].copy()
+    contrib[guarded][0] ^= 1
     assert not verify_kbp_fixpoint(system, model)
     system = execute_kbp(model, scenario)
-    system.column("C1.rcvd1[1]", system.horizon)[0] ^= 1
+    _flip_class_0(system, "C1.rcvd1[1]", model.programs["C1"].assignment_step("rcvd1[1]"))
     assert not verify_kbp_fixpoint(system, model)
 
 

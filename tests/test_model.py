@@ -295,11 +295,13 @@ def test_pinned_single_run_count(model3):
 
 
 @pytest.mark.parametrize("name", ["k12", "said[2]"])
-def test_finalize_refuses_a_trace_that_differs_within_a_history_class(model2, name):
+def test_finalize_refuses_a_step_trace_finer_than_its_time(model2, name):
     system = generate_runs(model2, dc.pinned_scenario([1, 2, 0], [1, 0, 1], slots=2), "naive")
     assert system.branching == 8 and system.finalize() is system
-    # runs 7 and 4095 share their step-1 key bits, hence their history up to time 1
-    system.column(name, 1)[4095] ^= 1
-    with pytest.raises(ModelError, match=rf"{re.escape(repr(name))} differs within a "
-                                         r"history class at time 1$"):
+    # time 1 may be stored at level 0 or 1, not at level 2
+    values = [system.class_column(name, t) for t in range(system.horizon + 1)]
+    values[1] = system.widen(values[1], system.n_classes(2))
+    system.set_step(name, values)
+    with pytest.raises(ModelError, match=rf"{re.escape(repr(name))} at time 1 is not a class "
+                                         r"vector of a level up to 1$"):
         system.finalize()

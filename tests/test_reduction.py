@@ -218,7 +218,7 @@ def test_naive_kbp_is_the_reduced_kbp_on_every_key_schedule(scen2, mode):
     n_keys = naive.meta["n_key_schedules"]
     assert naive.n_runs == reduced.n_runs * n_keys == 884_736
     for agent in model.agents:
-        assert np.array_equal(naive.meta["contrib"][agent],
+        assert np.array_equal([naive.widen(vec) for vec in naive.meta["contrib"][agent]],
                               np.repeat(reduced.meta["contrib"][agent], n_keys, axis=1))
     names = [f"{a}.{name}" for a in model.agents for name in model.programs[a].locals_]
     names += [f"rr[{t}]" for t in range(1, model.horizon + 1)]
